@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from ._util import atomic_write
-from .errors import DataError
+from .errors import DataError, ManifestError
 from .manifest import (
     DEFAULT_GROUP_LABELS,
     GroupSet,
@@ -65,7 +65,10 @@ def _emit(payload, out=None):
 
 
 def _groups_arg(value):
-    return GroupSet(tuple(label for label in value.split(",") if label))
+    try:
+        return GroupSet(tuple(label for label in value.split(",") if label))
+    except ManifestError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load(args):
@@ -275,7 +278,11 @@ def _cmd_scatter(args):
 def _cmd_synth(parser, args):
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
-            config = SynthConfig.from_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                raise DataError(f"{args.config}: not a JSON file: {exc}") from None
+        config = SynthConfig.from_dict(data)
     else:
         if args.seed is None:
             parser.error("synth requires --seed (or --config)")

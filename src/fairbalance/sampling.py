@@ -8,14 +8,18 @@ the highest own-group total and pulls it down. Ties on the diagonal go to the
 lowest group index; ties on identity score go to the earliest identity in
 first-appearance order.
 
-``sample_protocol`` keeps one min-heap per group plus cached diagonal
-entries. A step pops the target group's heap and recomputes only that group's
-entry, as an exact fsum over its survivors, so a run costs O(z * group size)
-rather than the full rescan ``sample_naive`` performs every iteration.
-Because fsum is exactly rounded and order independent, both samplers see
-bitwise-identical diagonals and therefore make identical choices;
-``sample_naive`` exists as the literal-transcription oracle that certifies
-the fast path.
+``sample_protocol`` picks victims from one min-heap per group and keeps the
+diagonal in a ``_DiagTracker``, which the random and single-group baselines
+share. The tracker holds each group's own-score total as the non-overlapping
+partials of Shewchuk's algorithm (the one behind ``math.fsum``): a removal
+adds the negated score, and the entry is read back with ``fsum`` over those
+few partials. The partials always add up exactly to the survivors' scores,
+so each entry is the same correctly rounded double that ``fsum`` over the
+survivors gives, and a step's diagonal update no longer grows with the
+group (only the heap pop is O(log n)). Both samplers therefore see
+bitwise-identical diagonals and make identical choices; ``sample_naive``
+rebuilds every table each iteration and is the literal-transcription oracle
+that certifies the fast path.
 """
 
 import csv
@@ -84,21 +88,104 @@ def _check_protocol_budget(manifest, protocol, z):
             )
 
 
-def _pick_target(diag, counts, protocol):
+def _pick_target(diag, counts, group_mean):
     """Index of the group to shrink. Lowest diagonal for A/B, highest for C
     (ignoring exhausted groups); exact ties resolve to the lowest index."""
+    if group_mean:
+        return diag.index(min(diag))
     best = None
     for i, value in enumerate(diag):
-        if not protocol.group_mean and counts[i] == 0:
-            continue
-        if best is None:
-            best = i
-        elif protocol.group_mean:
-            if value < diag[best]:
-                best = i
-        elif value > diag[best]:
+        if counts[i] and (best is None or value > diag[best]):
             best = i
     return best
+
+
+# What fsum returns for a multiset of negative zeros: 0.0 or -0.0, depending
+# on the interpreter.
+_FSUM_NEG_ZEROS = math.fsum((-0.0,))
+
+
+class _ExactSum:
+    """Exact running sum of a multiset of finite non-negative floats.
+
+    ``partials`` are nonzero, non-overlapping and add up exactly to the
+    multiset, so ``value()`` is the same correctly rounded double as
+    ``math.fsum`` over it. Zeros only count by sign, which decides the sign
+    of an all-zero sum. Adding or removing one value costs O(len(partials)),
+    a handful of floats.
+    """
+
+    __slots__ = ("partials", "zeros")
+
+    def __init__(self):
+        self.partials = []
+        self.zeros = [0, 0]  # how many +0.0 and -0.0 are in the multiset
+
+    def add(self, x):
+        if not x:
+            self.zeros[math.copysign(1.0, x) < 0] += 1
+            return
+        partials = self.partials
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x] if x else []
+
+    def remove(self, x):
+        if x:
+            self.add(-x)
+        else:
+            self.zeros[math.copysign(1.0, x) < 0] -= 1
+
+    def value(self):
+        if self.partials:
+            return math.fsum(self.partials)
+        return _FSUM_NEG_ZEROS if self.zeros[1] and not self.zeros[0] else 0.0
+
+
+class _DiagTracker:
+    """Diagonal of a shrinking manifest. Per group it keeps the survivor
+    count, the exact sum of their own-group scores, and the entry: the sum
+    divided by the count under group-mean protocols, the raw sum otherwise,
+    and 0.0 for an emptied group."""
+
+    def __init__(self, manifest, own, group_mean):
+        self.labels = manifest.groups.labels
+        self.group_mean = group_mean
+        self.counts = list(manifest.group_counts)
+        self.sums = [_ExactSum() for _ in self.labels]
+        for ident, rec in manifest.identities.items():
+            self.sums[rec.group].add(own[ident])
+        self.diag = [self._entry(g) for g in range(len(self.labels))]
+
+    def _entry(self, g):
+        count = self.counts[g]
+        if not count:
+            return 0.0
+        total = self.sums[g].value()
+        return total / count if self.group_mean else total
+
+    def remove(self, step, ident, g, own_value):
+        """Drop one survivor of group ``g`` and return the step's event."""
+        before = tuple(self.diag)
+        self.counts[g] -= 1
+        self.sums[g].remove(own_value)
+        self.diag[g] = self._entry(g)
+        return RemovalEvent(
+            step=step,
+            identity_id=ident,
+            group=self.labels[g],
+            own_group_ids=own_value,
+            diag_before=before,
+            diag_after=tuple(self.diag),
+        )
 
 
 def sample_protocol(manifest, protocol, z):
@@ -109,26 +196,17 @@ def sample_protocol(manifest, protocol, z):
     """
     protocol = Protocol(protocol)
     _check_protocol_budget(manifest, protocol, z)
+    group_mean = protocol.group_mean
 
-    ids = compute_ids(manifest, protocol)
-    own = ids.own_scores(manifest)
+    own = compute_ids(manifest, protocol).own_scores(manifest)
     labels = manifest.groups.labels
-    d = manifest.groups.d
-
-    heaps = [[] for _ in range(d)]
+    heaps = [[] for _ in labels]
     for rank, (ident, rec) in enumerate(manifest.identities.items()):
         heaps[rec.group].append((own[ident], rank, ident))
     for heap in heaps:
         heapq.heapify(heap)
-    counts = list(manifest.group_counts)
-
-    def group_entry(i):
-        if counts[i] == 0:
-            return 0.0
-        total = math.fsum(item[0] for item in heaps[i])
-        return total / counts[i] if protocol.group_mean else total
-
-    diag = [group_entry(i) for i in range(d)]
+    tracker = _DiagTracker(manifest, own, group_mean)
+    diag, counts = tracker.diag, tracker.counts
     trace = RemovalTrace(
         name=protocol.value,
         group_labels=labels,
@@ -137,8 +215,8 @@ def sample_protocol(manifest, protocol, z):
 
     removed = set()
     for step in range(1, z + 1):
-        target = _pick_target(diag, counts, protocol)
-        if protocol.group_mean and counts[target] == 1:
+        target = _pick_target(diag, counts, group_mean)
+        if group_mean and counts[target] == 1:
             trace.final_manifest = manifest.remove_identities(removed)
             raise SamplingError(
                 f"step {step}: removing the last identity of group "
@@ -147,20 +225,8 @@ def sample_protocol(manifest, protocol, z):
                 partial_trace=trace,
             )
         own_value, _rank, ident = heapq.heappop(heaps[target])
-        counts[target] -= 1
         removed.add(ident)
-        before = tuple(diag)
-        diag[target] = group_entry(target)
-        trace.events.append(
-            RemovalEvent(
-                step=step,
-                identity_id=ident,
-                group=labels[target],
-                own_group_ids=own_value,
-                diag_before=before,
-                diag_after=tuple(diag),
-            )
-        )
+        trace.events.append(tracker.remove(step, ident, target, own_value))
 
     subset = manifest.remove_identities(removed) if removed else manifest
     trace.final_manifest = subset
@@ -185,7 +251,7 @@ def sample_naive(manifest, protocol, z):
 
     for step in range(1, z + 1):
         counts = current.group_counts
-        target = _pick_target(diag, counts, protocol)
+        target = _pick_target(diag, counts, protocol.group_mean)
         if protocol.group_mean and counts[target] == 1:
             trace.final_manifest = current
             raise SamplingError(
@@ -221,55 +287,19 @@ def sample_naive(manifest, protocol, z):
     return current, trace
 
 
-class _GroupDiagTracker:
-    """Mean-scale (protocol A) diagonal bookkeeping for the baselines, which
-    remove arbitrary identities rather than the group minimum."""
-
-    def __init__(self, manifest):
-        self.labels = manifest.groups.labels
-        ids = compute_ids(manifest, Protocol.A)
-        self.own = ids.own_scores(manifest)
-        self.members = [
-            {rec.identity_id for rec in manifest.identities.values() if rec.group == g}
-            for g in range(manifest.groups.d)
-        ]
-        self.diag = [self._entry(g) for g in range(manifest.groups.d)]
-
-    def _entry(self, g):
-        members = self.members[g]
-        if not members:
-            return 0.0
-        return math.fsum(self.own[i] for i in members) / len(members)
-
-    def remove(self, group_index, ident):
-        before = tuple(self.diag)
-        self.members[group_index].remove(ident)
-        self.diag[group_index] = self._entry(group_index)
-        return before, tuple(self.diag), self.own[ident]
-
-
-def _baseline_trace(manifest, name, seed, removals):
-    """Build a trace for a set-style removal. ``removals`` is a list of
-    (group_index, identity_id), already in the order events should appear."""
-    tracker = _GroupDiagTracker(manifest)
+def _baseline_trace(manifest, own, name, seed, removals):
+    """Build a trace for a set-style removal, with protocol-A own scores
+    ``own``. ``removals`` is a list of (group_index, identity_id), already in
+    the order events should appear."""
+    tracker = _DiagTracker(manifest, own, group_mean=True)
     trace = RemovalTrace(
         name=name,
-        group_labels=manifest.groups.labels,
+        group_labels=tracker.labels,
         initial_diag=tuple(tracker.diag),
         seed=seed,
     )
     for step, (group_index, ident) in enumerate(removals, start=1):
-        before, after, own_value = tracker.remove(group_index, ident)
-        trace.events.append(
-            RemovalEvent(
-                step=step,
-                identity_id=ident,
-                group=manifest.groups.labels[group_index],
-                own_group_ids=own_value,
-                diag_before=before,
-                diag_after=after,
-            )
-        )
+        trace.events.append(tracker.remove(step, ident, group_index, own[ident]))
     subset = manifest.remove_identities([ident for _, ident in removals])
     trace.final_manifest = subset
     return subset, trace
@@ -326,7 +356,8 @@ def sample_random(manifest, z, seed):
         chosen = rng.sample(members, take)
         for ident in sorted(chosen, key=rank.__getitem__):
             removals.append((g, ident))
-    return _baseline_trace(manifest, "random", seed, removals)
+    own = compute_ids(manifest, Protocol.A).own_scores(manifest)
+    return _baseline_trace(manifest, own, "random", seed, removals)
 
 
 _SINGLE_STRATEGIES = ("min", "max", "rand")
@@ -355,8 +386,7 @@ def sample_single_group(manifest, group, strategy, keep_fraction, seed=None):
         raise SamplingError(f"group {group!r} has no identities")
 
     keep = math.ceil(keep_fraction * len(members))
-    ids = compute_ids(manifest, Protocol.A)
-    own = ids.own_scores(manifest)
+    own = compute_ids(manifest, Protocol.A).own_scores(manifest)
     rank = {ident: i for i, ident in enumerate(manifest.identities)}
 
     if strategy == "min":
@@ -376,7 +406,7 @@ def sample_single_group(manifest, group, strategy, keep_fraction, seed=None):
     ]
     name = f"single-{strategy}-{manifest.groups.labels[g]}"
     return _baseline_trace(
-        manifest, name, seed if strategy == "rand" else None, removals
+        manifest, own, name, seed if strategy == "rand" else None, removals
     )
 
 
@@ -460,12 +490,21 @@ def read_diag_series(path):
                 )
             labels = tuple(header[i][len("diag_"):-len("_after")] for i in after)
             columns = after
+        width = columns[-1] + 1
         series = []
         for row in reader:
             if not row:
                 continue
-            step = int(row[0])
-            if step == 0:
-                continue
-            series.append((step, tuple(float(row[i]) for i in columns)))
+            if len(row) < width:
+                raise SamplingError(
+                    f"{path}: line {reader.line_num}: expected {width} "
+                    f"fields, got {len(row)}"
+                )
+            try:
+                step = int(row[0])
+                if step == 0:
+                    continue
+                series.append((step, tuple(float(row[i]) for i in columns)))
+            except ValueError as exc:
+                raise SamplingError(f"{path}: line {reader.line_num}: {exc}") from None
     return labels, series

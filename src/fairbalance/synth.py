@@ -85,6 +85,8 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise SynthError(f"config must be a JSON object, got {data!r:.40}")
         try:
             known = {
                 "seed",
@@ -97,9 +99,12 @@ class SynthConfig:
             extra = set(data) - known
             if extra:
                 raise SynthError(f"unknown config fields: {sorted(extra)}")
+            groups = data["groups"]
+            if not isinstance(groups, (list, tuple)):
+                raise SynthError(f"groups must be a list of labels, got {groups!r:.40}")
             return cls(
                 seed=data["seed"],
-                groups=GroupSet(tuple(data["groups"])),
+                groups=GroupSet(tuple(groups)),
                 identities_per_group=_as_tuple(data["identities_per_group"]),
                 images_per_identity=tuple(data["images_per_identity"]),
                 concentration=_as_tuple(data["concentration"]),
@@ -107,6 +112,8 @@ class SynthConfig:
             )
         except KeyError as exc:
             raise SynthError(f"missing config field: {exc.args[0]}") from None
+        except (TypeError, ValueError) as exc:  # e.g. a number where a list belongs
+            raise SynthError(f"bad config value: {exc}") from None
 
 
 def _as_tuple(value):

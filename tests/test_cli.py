@@ -582,6 +582,54 @@ class TestSynthCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("{bad", "not a JSON file"),
+            ("1", "must be a JSON object"),
+            ("null", "must be a JSON object"),
+            ('"s"', "must be a JSON object"),
+            ("[1,2]", "must be a JSON object"),
+            ('{"seed": 1, "groups": "ab", "identities_per_group": 3, '
+             '"images_per_identity": [1, 1], "concentration": 1}',
+             "groups must be a list"),
+            ('{"seed": 1, "groups": ["a", "b"], "identities_per_group": 3, '
+             '"images_per_identity": 3, "concentration": 1}',
+             "bad config value"),
+            ('{"seed": 1, "groups": ["a", "b"], "identities_per_group": 3, '
+             '"images_per_identity": [1, 1], "concentration": null}',
+             "bad config value"),
+        ],
+    )
+    def test_bad_config_is_one_line_error(self, capsys, tmp_path, text, problem):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text, encoding="utf-8")
+        code, _, err = run(
+            capsys, "synth", "--config", str(config_path),
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and problem in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestDuplicateGroupFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--seed", "1", "--groups", "a,a", "--out", "x.csv"],
+            ["validate", "m.csv", "--groups", "a,a"],
+            ["metrics", "--accuracies", "0.9,0.8", "--group-labels", "a,a"],
+        ],
+    )
+    def test_usage_error_without_traceback(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "group labels must be distinct" in err
+        assert "Traceback" not in err
+
 
 class TestEquilibrium:
     def test_reads_both_trace_kinds(self, capsys, plain_manifest, tmp_path):
@@ -615,6 +663,18 @@ class TestEquilibrium:
             capsys, "equilibrium", "--trace", str(log), "--epsilon", "1e-12"
         )
         assert payload["step"] is None
+
+
+    @pytest.mark.parametrize("row", ["1,0.4", "1,0.4,x", "1.5,0.4,0.3"])
+    def test_bad_trace_row_is_one(self, capsys, tmp_path, row):
+        trace = tmp_path / "evo.csv"
+        trace.write_text(f"step,diag_a,diag_b\n0,0.5,0.5\n{row}\n")
+        code, _, err = run(
+            capsys, "equilibrium", "--trace", str(trace), "--epsilon", "0.1"
+        )
+        assert code == 1
+        assert err.startswith("error:") and "evo.csv: line 3:" in err
+        assert "Traceback" not in err
 
 
 class TestModuleInvocation:

@@ -2,8 +2,11 @@
 
 import logging
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairbalance import (
     Protocol,
@@ -19,12 +22,24 @@ from fairbalance import (
     write_evolution,
     write_removal_log,
 )
+from fairbalance.sampling import _ExactSum
 
 from conftest import build_manifest, tie_heavy_manifests
 
 
 def event_tuples(trace):
     return [(e.step, e.identity_id, e.group) for e in trace.events]
+
+
+def assert_diag_replays(manifest, trace, protocol):
+    current = manifest
+    diag = compute_es(current, protocol).diag()
+    assert trace.initial_diag == diag
+    for event in trace.events:
+        assert event.diag_before == diag
+        current = current.remove_identities({event.identity_id})
+        diag = compute_es(current, protocol).diag()
+        assert event.diag_after == diag
 
 
 def one_hot_four():
@@ -182,18 +197,29 @@ class TestGreedyRemoval:
             assert second == whole
 
     def test_trace_diag_matches_full_recompute_exactly(self, small_corpus):
+        """Every tracked diagonal, greedy and baseline alike, equals a full
+        recomputation over the running subset, bit for bit."""
         for m in small_corpus[:5]:
-            z = min(8, m.identity_count - m.groups.d)
-            if z < 1:
-                continue
-            try:
-                _, trace = sample_protocol(m, Protocol.B, z)
-            except SamplingError:
-                continue
-            current = m
-            for event in trace.events:
-                current = current.remove_identities({event.identity_id})
-                assert event.diag_after == compute_es(current, Protocol.B).diag()
+            for protocol in Protocol:
+                z = min(8, m.identity_count - m.groups.d)
+                if z < 1:
+                    continue
+                try:
+                    _, trace = sample_protocol(m, protocol, z)
+                except SamplingError:
+                    continue
+                assert_diag_replays(m, trace, protocol)
+            # baselines are tracked under A; keep two per group so no mean
+            # is undefined
+            z = min(8, m.groups.d * (min(m.group_counts) - 2))
+            if z >= 1:
+                _, trace = sample_random(m, z, seed=7)
+                assert_diag_replays(m, trace, Protocol.A)
+            for strategy in ("min", "max", "rand"):
+                _, trace = sample_single_group(
+                    m, m.groups.labels[0], strategy, 0.5, seed=7
+                )
+                assert_diag_replays(m, trace, Protocol.A)
 
     def test_sum_protocol_runs_to_a_single_identity(self):
         flat, _ = tie_heavy_manifests()
@@ -421,8 +447,54 @@ class TestTraceFiles:
                 equilibrium_step(trace, epsilon)
             )
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("1,0.4", "expected 3 fields, got 2"),
+            ("1,0.4,x", "could not convert string to float"),
+            ("1.5,0.4,0.3", "invalid literal for int"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "evo.csv"
+        path.write_text(f"step,diag_a,diag_b\n0,0.5,0.5\n{row}\n")
+        with pytest.raises(SamplingError, match=f"evo.csv: line 3: {problem}"):
+            read_diag_series(str(path))
+
     def test_rejects_unrelated_csv(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(SamplingError, match="not a removal log"):
             read_diag_series(str(path))
+
+
+# Own-score-like values: finite and non-negative, with both zeros, the
+# subnormal range and magnitudes far enough apart to need several partials.
+own_like = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e6),
+    st.sampled_from((0.0, -0.0, 5e-324, sys.float_info.min, 1.0, 1e16)),
+)
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), own_like),
+                st.tuples(st.just("remove"), st.integers(0, 1000)),
+            ),
+            max_size=60,
+        )
+    )
+    def test_value_is_fsum_of_survivors(self, ops):
+        acc = _ExactSum()
+        survivors = []
+        for op, arg in ops:
+            if op == "add":
+                acc.add(arg)
+                survivors.append(arg)
+            elif survivors:
+                acc.remove(survivors.pop(arg % len(survivors)))
+            assert acc.value().hex() == math.fsum(survivors).hex()
