@@ -1,4 +1,5 @@
-"""Small shared helpers: atomic file writes and float formatting."""
+"""Small shared helpers: atomic file writes, input decoding errors and float
+formatting."""
 
 import os
 import tempfile
@@ -24,6 +25,17 @@ def atomic_write(path, newline="\n"):
         except OSError:
             pass
         raise
+
+
+@contextmanager
+def decode_errors_as(error, path):
+    """Turn a UnicodeDecodeError raised while reading ``path`` into
+    ``error``, a DataError subclass, so a file that is not UTF-8 text is bad
+    data rather than a crash."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise error(f"{path}: not a UTF-8 text file") from None
 
 
 def fmt_float(value):

@@ -8,13 +8,14 @@ warning, error).
 """
 
 import argparse
+import csv
 import json
 import logging
 import os
 import sys
 
 from . import __version__
-from ._util import atomic_write
+from ._util import atomic_write, decode_errors_as
 from .errors import DataError, ManifestError
 from .manifest import (
     DEFAULT_GROUP_LABELS,
@@ -133,7 +134,7 @@ def _cmd_relabel(args):
     return 0
 
 
-def _sample_budget(parser, args, manifest):
+def _sample_budget(args, manifest):
     if args.remove is not None:
         return args.remove
     target = args.target_size
@@ -149,7 +150,7 @@ def _cmd_sample(parser, args):
     manifest = _load(args)
     if args.relabel_first:
         manifest = relabel(manifest)
-    z = _sample_budget(parser, args, manifest)
+    z = _sample_budget(args, manifest)
     if args.protocol == "random":
         if args.naive:
             parser.error("--naive applies to protocols A, B and C only")
@@ -251,10 +252,11 @@ def _cmd_pareto(args):
 def _cmd_scatter(args):
     manifest = _load(args)
     external = {}
-    import csv as _csv
-
-    with open(args.external, encoding="utf-8-sig", newline="") as handle:
-        reader = _csv.reader(handle)
+    with (
+        open(args.external, encoding="utf-8-sig", newline="") as handle,
+        decode_errors_as(DataError, args.external),
+    ):
+        reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["image_id", "score"]:
             raise DataError(f"{args.external}: expected header image_id,score")

@@ -14,7 +14,7 @@ import math
 import statistics
 from dataclasses import dataclass, field, replace
 
-from ._util import atomic_write, fmt_float
+from ._util import atomic_write, decode_errors_as, fmt_float
 from .errors import ManifestError
 
 log = logging.getLogger(__name__)
@@ -62,7 +62,7 @@ class GroupSet:
 DEFAULT_GROUPS = GroupSet(DEFAULT_GROUP_LABELS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageRecord:
     """One image row: ids, assigned group (index into the GroupSet), and the
     per-group membership scores, which sum to one after load."""
@@ -73,7 +73,7 @@ class ImageRecord:
     scores: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityRecord:
     identity_id: str
     group: int
@@ -90,7 +90,8 @@ class Manifest:
 
     ``identities`` and ``group_counts`` are derived from ``images`` and
     excluded from equality. Construct through :meth:`from_images` or
-    :func:`load_manifest`; both enforce the invariants.
+    :func:`load_manifest`; both enforce the invariants, the loader in the
+    same pass that parses the rows.
     """
 
     groups: GroupSet
@@ -101,7 +102,15 @@ class Manifest:
 
     @classmethod
     def from_images(cls, groups, images, rejected_rows=0):
-        images = tuple(_validated_images(groups, images))
+        return cls._of_valid_rows(
+            groups, tuple(_validated_images(groups, images)), rejected_rows
+        )
+
+    @classmethod
+    def _of_valid_rows(cls, groups, images, rejected_rows=0):
+        """Manifest over a tuple of rows that already hold every row
+        invariant (unique image ids, in-range groups, normalized scores);
+        only the identity partition is derived and checked."""
         identities, group_counts = _derive_identities(groups, images)
         return cls(
             groups=groups,
@@ -122,13 +131,9 @@ class Manifest:
         validated manifest and removal cannot break any row invariant.
         """
         removed = set(identity_ids)
-        kept = tuple(img for img in self.images if img.identity_id not in removed)
-        identities, group_counts = _derive_identities(self.groups, kept)
-        return Manifest(
-            groups=self.groups,
-            images=kept,
-            identities=identities,
-            group_counts=group_counts,
+        return Manifest._of_valid_rows(
+            self.groups,
+            tuple(img for img in self.images if img.identity_id not in removed),
         )
 
     def identities_of_group(self, group_index):
@@ -211,13 +216,18 @@ def load_manifest(path, groups=None, permissive=False):
     1e-3 from 1, malformed fields) reject the row; by default any rejection
     fails the load, while ``permissive=True`` skips the bad rows and keeps a
     count. An identity assigned to two groups or a duplicated image id is
-    structural corruption and always fatal.
+    structural corruption and always fatal. Errors keep this precedence:
+    rejected rows (strict mode), then the first duplicated image id in file
+    order, then an identity found in two groups.
+
+    Rows are checked, renormalized and tested for duplicate ids in the one
+    pass that parses them.
     """
     try:
         handle = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ManifestError(f"cannot read {path}: {exc}") from exc
-    with handle:
+    with handle, decode_errors_as(ManifestError, path):
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -229,6 +239,8 @@ def load_manifest(path, groups=None, permissive=False):
 
         images = []
         problems = []
+        seen = set()
+        duplicate = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -243,25 +255,31 @@ def load_manifest(path, groups=None, permissive=False):
                     problem = f"unknown group name {group_label!r}"
                 else:
                     try:
-                        scores = tuple(float(cell) for cell in row[3:])
+                        scores = tuple(map(float, row[3:]))
                     except ValueError:
                         problem = "non-numeric score"
                     else:
-                        if any(
-                            not math.isfinite(s) or not 0.0 <= s <= 1.0
-                            for s in scores
-                        ):
+                        # the chained comparison is also false for inf and nan
+                        if not all(0.0 <= s <= 1.0 for s in scores):
                             problem = "score outside [0, 1]"
                         else:
                             total = math.fsum(scores)
-                            if abs(total - 1.0) > SUM_TOLERANCE:
+                            deviation = abs(total - 1.0)
+                            if deviation > SUM_TOLERANCE:
                                 problem = (
                                     f"score sum {total!r} deviates from 1 "
                                     f"by more than {SUM_TOLERANCE}"
                                 )
+                            elif deviation > _RENORM_SKIP:
+                                scores = tuple(s / total for s in scores)
             if problem is not None:
                 problems.append(f"line {lineno}: {problem}")
                 continue
+            if image_id in seen:
+                if duplicate is None:
+                    duplicate = image_id
+            else:
+                seen.add(image_id)
             images.append(
                 ImageRecord(image_id, identity_id, label_index[group_label], scores)
             )
@@ -274,7 +292,11 @@ def load_manifest(path, groups=None, permissive=False):
         log.warning("%s: skipped %d invalid row(s)", path, len(problems))
     if not images:
         raise ManifestError(f"{path}: empty manifest (no valid rows)")
-    return Manifest.from_images(groups, images, rejected_rows=len(problems))
+    if duplicate is not None:
+        raise ManifestError(f"duplicate image_id: {duplicate!r}")
+    return Manifest._of_valid_rows(
+        groups, tuple(images), rejected_rows=len(problems)
+    )
 
 
 def _check_header(path, header, groups):

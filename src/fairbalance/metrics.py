@@ -10,13 +10,13 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from ._util import atomic_write, fmt_float
+from ._util import atomic_write, decode_errors_as, fmt_float
 from .errors import MetricsError
 
 _MODES = ("outcomes", "similarity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairRecord:
     """One verification pair. ``correct`` is set in outcomes mode;
     ``similarity`` and ``is_genuine`` in similarity mode."""
@@ -40,54 +40,70 @@ def group_accuracy(pairs, mode):
     """
     if mode not in _MODES:
         raise MetricsError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    similarity = mode == "similarity"
+    # per group: the values of pairs whose flag (is_genuine, or the verdict
+    # itself) is set, and of the rest
     grouped = {}
+    incomplete = set()
     for pair in pairs:
-        grouped.setdefault(pair.group, []).append(pair)
+        sides = grouped.get(pair.group)
+        if sides is None:
+            sides = grouped[pair.group] = ([], [])
+        if similarity:
+            value, flag = pair.similarity, pair.is_genuine
+        else:
+            value = flag = pair.correct
+        if value is None or flag is None:
+            incomplete.add(pair.group)
+        else:
+            sides[0 if flag else 1].append(value)
     if not grouped:
         raise MetricsError("no pairs given")
 
     result = {}
-    for group, records in grouped.items():
-        if mode == "outcomes":
-            if any(r.correct is None for r in records):
+    for group, (flagged, unflagged) in grouped.items():
+        if not similarity:
+            if group in incomplete:
                 raise MetricsError(f"group {group!r}: pair without a verdict")
-            result[group] = sum(1 for r in records if r.correct) / len(records)
+            result[group] = len(flagged) / (len(flagged) + len(unflagged))
         else:
-            if any(r.similarity is None or r.is_genuine is None for r in records):
+            if group in incomplete:
                 raise MetricsError(
                     f"group {group!r}: pair without similarity or genuineness"
                 )
-            genuine = [r.similarity for r in records if r.is_genuine]
-            impostor = [r.similarity for r in records if not r.is_genuine]
-            if not genuine or not impostor:
+            if not flagged or not unflagged:
                 raise MetricsError(
                     f"group {group!r}: similarity mode needs both genuine "
                     "and impostor pairs"
                 )
-            result[group] = _best_threshold_accuracy(genuine, impostor)
+            result[group] = _best_threshold_accuracy(flagged, unflagged)
     return result
 
 
 def _best_threshold_accuracy(genuine, impostor):
     """Best single-threshold accuracy, predicting genuine at or above the
     threshold. Sweeps from below the minimum (everything genuine) upwards;
-    crossing a value flips all its pairs to the impostor side."""
-    marks = sorted([(s, True) for s in genuine] + [(s, False) for s in impostor])
-    n = len(marks)
-    correct = len(genuine)
-    best = correct
-    i = 0
-    while i < n:
-        j = i
-        delta = 0
-        while j < n and marks[j][0] == marks[i][0]:
-            delta += -1 if marks[j][1] else 1
+    crossing a value flips all its pairs to the impostor side. The two
+    sides are sorted apart and merged one distinct value at a time."""
+    genuine = sorted(genuine)
+    impostor = sorted(impostor)
+    n_genuine, n_impostor = len(genuine), len(impostor)
+    correct = best = n_genuine
+    i = j = 0
+    while i < n_genuine or j < n_impostor:
+        if j == n_impostor or (i < n_genuine and genuine[i] <= impostor[j]):
+            value = genuine[i]
+        else:
+            value = impostor[j]
+        while i < n_genuine and genuine[i] == value:
+            i += 1
+            correct -= 1
+        while j < n_impostor and impostor[j] == value:
             j += 1
-        correct += delta
+            correct += 1
         if correct > best:
             best = correct
-        i = j
-    return best / n
+    return best / (n_genuine + n_impostor)
 
 
 @dataclass
@@ -211,7 +227,11 @@ def read_pairs_csv(path, mode):
         else ["group", "similarity", "is_genuine"]
     )
     pairs = []
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    labels = {}  # one label string per group, shared by its records
+    with (
+        open(path, encoding="utf-8-sig", newline="") as handle,
+        decode_errors_as(MetricsError, path),
+    ):
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != expected:
@@ -223,10 +243,11 @@ def read_pairs_csv(path, mode):
                 continue
             if len(row) != len(expected) or not row[0]:
                 raise MetricsError(f"{path}: line {lineno}: malformed row")
+            group = labels.setdefault(row[0], row[0])
             try:
                 if mode == "outcomes":
                     pairs.append(
-                        PairRecord(group=row[0], correct=_parse_flag(row[1]))
+                        PairRecord(group=group, correct=_parse_flag(row[1]))
                     )
                 else:
                     similarity = float(row[1])
@@ -234,7 +255,7 @@ def read_pairs_csv(path, mode):
                         raise ValueError
                     pairs.append(
                         PairRecord(
-                            group=row[0],
+                            group=group,
                             similarity=similarity,
                             is_genuine=_parse_flag(row[2]),
                         )
@@ -260,7 +281,10 @@ def read_runs_csv(path):
     """Load run summaries: ``run_id,strategy,size`` plus one ``acc_<group>``
     column per group. Returns (group_labels, rows) where each row is a dict
     with the raw fields and an ``accs`` mapping."""
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with (
+        open(path, encoding="utf-8-sig", newline="") as handle,
+        decode_errors_as(MetricsError, path),
+    ):
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or header[:3] != ["run_id", "strategy", "size"]:

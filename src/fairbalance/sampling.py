@@ -28,7 +28,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from ._util import atomic_write, fmt_float
+from ._util import atomic_write, decode_errors_as, fmt_float
 from .errors import SamplingError
 from .manifest import Manifest
 from .rng import SplitMix64
@@ -466,7 +466,10 @@ def read_diag_series(path):
     Returns (group_labels, [(step, diag), ...]) with step 0 rows skipped, so
     the result is directly usable with :func:`equilibrium_step`.
     """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with (
+        open(path, encoding="utf-8-sig", newline="") as handle,
+        decode_errors_as(SamplingError, path),
+    ):
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -82,10 +82,9 @@ def compute_ids(manifest, protocol):
     stacked = {}
     for img in manifest.images:
         stacked.setdefault(img.identity_id, []).append(img.scores)
-    d = manifest.groups.d
     entries = {}
     for ident, rows in stacked.items():
-        totals = [math.fsum(row[c] for row in rows) for c in range(d)]
+        totals = [math.fsum(column) for column in zip(*rows)]
         if protocol.identity_mean:
             count = len(rows)
             totals = [t / count for t in totals]
@@ -137,7 +136,9 @@ def relabel(manifest):
 
     The argmax of the protocol-A identity vector decides; exact ties go to
     the lowest group index. Labels feed only the group assignment, never the
-    scores, so applying this twice changes nothing.
+    scores, so applying this twice changes nothing. Moving whole identities
+    between groups cannot break a row invariant, so the rows are not
+    validated again.
     """
     ids = compute_ids(manifest, Protocol.A)
     new_group = {}
@@ -153,7 +154,7 @@ def relabel(manifest):
         else replace(img, group=new_group[img.identity_id])
         for img in manifest.images
     ]
-    return Manifest.from_images(manifest.groups, images)
+    return Manifest._of_valid_rows(manifest.groups, tuple(images))
 
 
 @dataclass(frozen=True)

@@ -54,17 +54,17 @@ class SynthConfig:
     label_noise: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise SynthError("seed must be an integer")
         d = self.groups.d
         counts = _broadcast(self.identities_per_group, d, "identities_per_group")
-        if any(not isinstance(c, int) or c < 0 for c in counts):
+        if any(not _is_int(c) or c < 0 for c in counts):
             raise SynthError("identity counts must be non-negative integers")
         object.__setattr__(self, "identities_per_group", counts)
         span = tuple(self.images_per_identity)
         if (
             len(span) != 2
-            or any(not isinstance(v, int) for v in span)
+            or any(not _is_int(v) for v in span)
             or not 1 <= span[0] <= span[1]
         ):
             raise SynthError(
@@ -73,12 +73,15 @@ class SynthConfig:
             )
         object.__setattr__(self, "images_per_identity", span)
         conc = _broadcast(self.concentration, d, "concentration")
+        if any(isinstance(c, bool) for c in conc):
+            raise SynthError("concentration values must be numbers")
         conc = tuple(float(c) for c in conc)
         if any(not math.isfinite(c) or c <= 0 for c in conc):
             raise SynthError("concentration values must be positive")
         object.__setattr__(self, "concentration", conc)
         if not (
             isinstance(self.label_noise, (int, float))
+            and not isinstance(self.label_noise, bool)
             and 0.0 <= self.label_noise < 1.0
         ):
             raise SynthError("label_noise must be in [0, 1)")
@@ -114,6 +117,12 @@ class SynthConfig:
             raise SynthError(f"missing config field: {exc.args[0]}") from None
         except (TypeError, ValueError) as exc:  # e.g. a number where a list belongs
             raise SynthError(f"bad config value: {exc}") from None
+
+
+def _is_int(value):
+    """An int that is not a bool: JSON ``true`` loads as one, and must not
+    pass for a seed or a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_tuple(value):

@@ -82,3 +82,25 @@ def best_threshold_accuracy_oracle(genuine, impostor):
         correct += sum(1 for s in impostor if s < threshold)
         best = max(best, correct)
     return best / total
+
+
+def threshold_sweep_oracle(genuine, impostor):
+    """Single-threshold sweep over one sorted list of (score, is_genuine)
+    marks: start with everything genuine, then cross one distinct value at a
+    time, flipping all of its pairs."""
+    marks = sorted([(s, True) for s in genuine] + [(s, False) for s in impostor])
+    n = len(marks)
+    correct = len(genuine)
+    best = correct
+    i = 0
+    while i < n:
+        j = i
+        delta = 0
+        while j < n and marks[j][0] == marks[i][0]:
+            delta += -1 if marks[j][1] else 1
+            j += 1
+        correct += delta
+        if correct > best:
+            best = correct
+        i = j
+    return best / n

@@ -108,6 +108,33 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["validate", "{bad}"],
+             "image_id,identity_id,group,score_a,score_b\nimg1,A,a,0.5,0.5\n"),
+            (["metrics", "--pairs", "{bad}", "--mode", "similarity"],
+             "group,similarity,is_genuine\ng,0.5,1\n"),
+            (["pareto", "--runs", "{bad}", "--bias", "std"],
+             "run_id,strategy,size,acc_a,acc_b\nr1,A,50%,0.9,0.8\n"),
+            (["equilibrium", "--trace", "{bad}", "--epsilon", "0.1"],
+             "step,diag_a,diag_b\n0,0.5,0.5\n"),
+            (["scatter", "{manifest}", "--external", "{bad}", "--out", "{out}"],
+             "image_id,score\n"),
+        ],
+        ids=["validate", "metrics", "pareto", "equilibrium", "scatter"],
+    )
+    def test_non_utf8_file_is_one(
+        self, capsys, plain_manifest, tmp_path, argv, text
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text.encode("utf-8") + b"x\xff,1\n")
+        names = {"bad": bad, "manifest": plain_manifest, "out": tmp_path / "o.csv"}
+        code, _, err = run(capsys, *[arg.format(**names) for arg in argv])
+        assert code == 1
+        assert err.startswith("error:") and "bad.csv: not a UTF-8 text file" in err
+        assert "Traceback" not in err
+
     def test_internal_error_is_three(self, capsys, monkeypatch, plain_manifest):
         def boom(*args, **kwargs):
             raise RuntimeError("wired to fail")
@@ -599,6 +626,22 @@ class TestSynthCommand:
             ('{"seed": 1, "groups": ["a", "b"], "identities_per_group": 3, '
              '"images_per_identity": [1, 1], "concentration": null}',
              "bad config value"),
+            ('{"seed": true, "groups": ["a", "b"], "identities_per_group": 3, '
+             '"images_per_identity": [1, 1], "concentration": 1}',
+             "seed must be an integer"),
+            ('{"seed": 1, "groups": ["a", "b"], "identities_per_group": [3, true], '
+             '"images_per_identity": [1, 1], "concentration": 1}',
+             "identity counts must be non-negative integers"),
+            ('{"seed": 1, "groups": ["a", "b"], "identities_per_group": 3, '
+             '"images_per_identity": [true, true], "concentration": 1}',
+             "images_per_identity must be an integer"),
+            ('{"seed": 1, "groups": ["a", "b"], "identities_per_group": 3, '
+             '"images_per_identity": [1, 1], "concentration": true}',
+             "concentration values must be numbers"),
+            ('{"seed": 1, "groups": ["a", "b"], "identities_per_group": 3, '
+             '"images_per_identity": [1, 1], "concentration": 1, '
+             '"label_noise": false}',
+             "label_noise must be in [0, 1)"),
         ],
     )
     def test_bad_config_is_one_line_error(self, capsys, tmp_path, text, problem):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from fairbalance import (
     DEFAULT_GROUPS,
     GroupSet,
+    IdentityRecord,
     ImageRecord,
     Manifest,
     ManifestError,
+    PairRecord,
     load_manifest,
     summarize,
     write_manifest,
@@ -173,6 +175,125 @@ class TestLoad:
         assert m.images[0].image_id == "img1"
 
 
+# Rows the loader rejects, one per reason; {n} is the row's image id number.
+BAD_ROWS = (
+    "img{n},bad{n},Martian,0.25,0.25,0.25,0.25",
+    "img{n},bad{n},African,0.25,x,0.25,0.25",
+    "img{n},bad{n},African,1.5,-0.5,0.0,0.0",
+    "img{n},bad{n},African,0.125,0.125,0.125,0.125",
+    "img{n},bad{n},African,0.5,0.5",
+    "img{n},,African,0.25,0.25,0.25,0.25",
+)
+
+# a valid row: identity number (its group is that number mod 4), raw
+# weights, and a factor that moves the score sum off 1 by up to 4e-4, by
+# 1e-9 (both renormalized) or by 1e-13 (kept as written)
+valid_row = st.tuples(
+    st.integers(0, 5),
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+        lambda w: math.fsum(w) > 0
+    ),
+    st.sampled_from([1.0, 1 - 4e-4, 1 - 1e-9, 1 - 1e-13]),
+)
+
+
+def row_bits(manifest):
+    return [
+        (img.image_id, img.identity_id, img.group, [s.hex() for s in img.scores])
+        for img in manifest.images
+    ]
+
+
+class TestOnePassLoad:
+    """load_manifest checks and renormalizes in the pass that parses the
+    rows; Manifest.from_images over the same parsed rows is its oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.one_of(valid_row, st.sampled_from(BAD_ROWS)), min_size=1, max_size=25
+        )
+    )
+    def test_equals_from_images_over_parsed_rows(self, tmp_path_factory, rows):
+        lines, parsed = [HEADER4], []
+        for n, row in enumerate(rows):
+            if isinstance(row, str):
+                lines.append(row.format(n=n))
+                continue
+            ident, weights, factor = row
+            total = math.fsum(weights)
+            scores = tuple(w / total * factor for w in weights)
+            lines.append(
+                f"img{n},id{ident},{DEFAULT_GROUPS.labels[ident % 4]},"
+                + ",".join(repr(v) for v in scores)
+            )
+            parsed.append(ImageRecord(f"img{n}", f"id{ident}", ident % 4, scores))
+        path = write_text(
+            tmp_path_factory.mktemp("load") / "m.csv", "\n".join(lines) + "\n"
+        )
+        rejected = len(rows) - len(parsed)
+
+        if rejected:
+            with pytest.raises(ManifestError, match=f"rejected {rejected} row"):
+                load_manifest(path)
+        if not parsed:
+            with pytest.raises(ManifestError, match="empty manifest"):
+                load_manifest(path, permissive=True)
+            return
+        loaded = load_manifest(path, permissive=True)
+        expected = Manifest.from_images(DEFAULT_GROUPS, parsed, rejected)
+        assert row_bits(loaded) == row_bits(expected)
+        assert loaded == expected
+        assert loaded.identities == expected.identities
+        assert loaded.group_counts == expected.group_counts
+        assert loaded.rejected_rows == expected.rejected_rows == rejected
+
+
+class TestLoadErrorPrecedence:
+    """Rejected rows (strict mode) first, then the first duplicated image id
+    in file order, then an identity found in two groups."""
+
+    def test_rejected_rows_come_first(self, tmp_path):
+        path = write_text(
+            tmp_path / "m.csv",
+            HEADER4 + "\n"
+            "img1,X,African,0.7,0.1,0.1,0.1\n"
+            "img2,X,Asian,0.1,0.7,0.1,0.1\n"
+            "img1,X,African,0.7,0.1,0.1,0.1\n"
+            "img3,Y,Martian,0.7,0.1,0.1,0.1\n",
+        )
+        with pytest.raises(ManifestError, match="rejected 1 row"):
+            load_manifest(path)
+        with pytest.raises(ManifestError, match="duplicate image_id: 'img1'"):
+            load_manifest(path, permissive=True)
+
+    def test_first_duplicate_in_file_order_before_identity_conflict(
+        self, tmp_path
+    ):
+        path = write_text(
+            tmp_path / "m.csv",
+            HEADER4 + "\n"
+            "a,X,African,0.7,0.1,0.1,0.1\n"
+            "b,X,Asian,0.1,0.7,0.1,0.1\n"
+            "c,Y,African,0.7,0.1,0.1,0.1\n"
+            "c,Y,African,0.7,0.1,0.1,0.1\n"
+            "a,X,African,0.7,0.1,0.1,0.1\n",
+        )
+        with pytest.raises(ManifestError, match="duplicate image_id: 'c'"):
+            load_manifest(path)
+
+    def test_rejected_row_is_no_duplicate(self, tmp_path):
+        path = write_text(
+            tmp_path / "m.csv",
+            HEADER4 + "\n"
+            "img1,X,Martian,0.7,0.1,0.1,0.1\n"
+            "img1,X,African,0.7,0.1,0.1,0.1\n"
+            "img2,X,Asian,0.1,0.7,0.1,0.1\n",
+        )
+        with pytest.raises(ManifestError, match="'X' appears in two groups"):
+            load_manifest(path, permissive=True)
+
+
 class TestRoundTrip:
     def test_write_then_load_is_equal(self, tmp_path):
         m = build_manifest(
@@ -260,6 +381,15 @@ class TestManifestModel:
     def test_from_images_rejects_wrong_width(self):
         with pytest.raises(ManifestError, match="expected 2 scores"):
             build_manifest(("a", "b"), [("i1", "x", 0, (1.0,))])
+
+    def test_row_records_have_no_instance_dict(self):
+        records = (
+            ImageRecord("i1", "x", 0, (1.0, 0.0)),
+            IdentityRecord("x", 0, ("i1",)),
+            PairRecord("g", similarity=0.5, is_genuine=True),
+        )
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
     def test_from_images_rejects_bad_group_index(self):
         with pytest.raises(ManifestError, match="out of range"):

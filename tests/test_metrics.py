@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairbalance import (
@@ -20,10 +20,28 @@ from fairbalance import (
     runs_to_points,
     write_frontier_csv,
 )
+from fairbalance.metrics import _best_threshold_accuracy
 
-from _oracles import best_threshold_accuracy_oracle, dominates, pareto_oracle
+from _oracles import (
+    best_threshold_accuracy_oracle,
+    dominates,
+    pareto_oracle,
+    threshold_sweep_oracle,
+)
 
 FIXTURE = "tests/fixtures/reported_metrics.json"
+
+
+# similarities for one side of a group: a small pool makes ties across the
+# sides likely, and signed zeros compare equal but differ in their bits
+similarity_side = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]),
+        st.floats(allow_nan=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
 
 
 def outcome_pairs(spec):
@@ -92,6 +110,32 @@ class TestGroupAccuracy:
         assert group_accuracy(base, "similarity") == group_accuracy(
             warped, "similarity"
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(similarity_side, similarity_side)
+    @example([0.5, 0.5], [0.5])
+    @example([0.0, -0.0], [-0.0, 0.0, 0.0])
+    @example([-0.0], [0.0])
+    @example([1.0], [0.25, 0.25, 1.0, 2.0, 2.0])
+    def test_sweep_matches_tuple_sort_oracle(self, genuine, impostor):
+        got = _best_threshold_accuracy(genuine, impostor)
+        assert got.hex() == threshold_sweep_oracle(genuine, impostor).hex()
+
+    def test_error_names_first_group_in_appearance_order(self):
+        pairs = [
+            PairRecord("x", similarity=0.5, is_genuine=True),
+            PairRecord("y", similarity=0.5, is_genuine=None),
+            PairRecord("x", similarity=0.4, is_genuine=True),
+        ]
+        with pytest.raises(MetricsError, match="group 'x': similarity mode"):
+            group_accuracy(pairs, "similarity")
+        pairs = [
+            PairRecord("x", correct=True),
+            PairRecord("y", correct=None),
+            PairRecord("x", correct=None),
+        ]
+        with pytest.raises(MetricsError, match="group 'x': pair without"):
+            group_accuracy(pairs, "outcomes")
 
     def test_single_class_group_is_error(self):
         pairs = [PairRecord("g", similarity=0.5, is_genuine=True)]
@@ -237,9 +281,11 @@ class TestParetoFrontier:
 class TestCsvInterfaces:
     def test_pairs_outcomes_round_trip(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        path.write_text("group,correct\na,1\na,0\nb,1\n")
+        path.write_text("group,correct\ngroup a,1\ngroup a,0\nb,1\n")
         pairs = read_pairs_csv(str(path), "outcomes")
-        assert group_accuracy(pairs, "outcomes") == {"a": 0.5, "b": 1.0}
+        assert group_accuracy(pairs, "outcomes") == {"group a": 0.5, "b": 1.0}
+        # one label string per group, not one copy per row
+        assert pairs[0].group is pairs[1].group
 
     def test_pairs_similarity_round_trip(self, tmp_path):
         path = tmp_path / "pairs.csv"
