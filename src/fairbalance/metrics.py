@@ -8,7 +8,11 @@ trains or evaluates a model.
 import csv
 import math
 import statistics
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from ._util import atomic_write, decode_errors_as, fmt_float
 from .errors import MetricsError
@@ -27,6 +31,54 @@ class PairRecord:
     is_genuine: bool = None
 
 
+class _PairTable(Sequence):
+    """Verification pairs held as columns: the group labels in appearance
+    order, and per pair a group index, a similarity (similarity mode only)
+    and a 0/1 flag (``is_genuine``, or the verdict in outcomes mode).
+
+    Indexing builds a ``PairRecord`` on demand; the records of a group share
+    one label string.
+    """
+
+    __slots__ = ("mode", "labels", "groups", "similarities", "flags", "_index")
+
+    def __init__(self, mode):
+        self.mode = mode
+        self.labels = []
+        self._index = {}  # label -> position in labels
+        self.groups = array("I")
+        self.similarities = array("d")
+        self.flags = bytearray()
+
+    def group_index(self, label):
+        """Position of ``label``, registering it on first sight."""
+        g = self._index.get(label)
+        if g is None:
+            g = self._index[label] = len(self.labels)
+            self.labels.append(label)
+        return g
+
+    def append(self, group, flag, similarity=None):
+        self.groups.append(group)
+        self.flags.append(flag)
+        if similarity is not None:
+            self.similarities.append(similarity)
+
+    def __len__(self):
+        return len(self.flags)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        flag = self.flags[index] == 1
+        group = self.labels[self.groups[index]]
+        if self.mode == "outcomes":
+            return PairRecord(group, correct=flag)
+        return PairRecord(
+            group, similarity=self.similarities[index], is_genuine=flag
+        )
+
+
 def group_accuracy(pairs, mode):
     """Per-group verification accuracy.
 
@@ -40,44 +92,64 @@ def group_accuracy(pairs, mode):
     """
     if mode not in _MODES:
         raise MetricsError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    similarity = mode == "similarity"
-    # per group: the values of pairs whose flag (is_genuine, or the verdict
-    # itself) is set, and of the rest
-    grouped = {}
-    incomplete = set()
-    for pair in pairs:
-        sides = grouped.get(pair.group)
-        if sides is None:
-            sides = grouped[pair.group] = ([], [])
-        if similarity:
-            value, flag = pair.similarity, pair.is_genuine
-        else:
-            value = flag = pair.correct
-        if value is None or flag is None:
-            incomplete.add(pair.group)
-        else:
-            sides[0 if flag else 1].append(value)
-    if not grouped:
+    table, incomplete = _as_table(pairs, mode)
+    if not table.labels:
         raise MetricsError("no pairs given")
+    similarity = mode == "similarity"
+    if similarity:
+        # per group: (impostor, genuine) similarities, indexed by the flag;
+        # flat arrays, so float objects exist for one group at a time, in
+        # the sweep's sort
+        sides = [(array("d"), array("d")) for _ in table.labels]
+        for g, value, flag in zip(table.groups, table.similarities, table.flags):
+            sides[g][flag].append(value)
+    else:
+        totals = Counter(table.groups)
+        right = Counter(compress(table.groups, table.flags))
 
     result = {}
-    for group, (flagged, unflagged) in grouped.items():
+    for g, group in enumerate(table.labels):
+        if g in incomplete:
+            missing = "similarity or genuineness" if similarity else "a verdict"
+            raise MetricsError(f"group {group!r}: pair without {missing}")
         if not similarity:
-            if group in incomplete:
-                raise MetricsError(f"group {group!r}: pair without a verdict")
-            result[group] = len(flagged) / (len(flagged) + len(unflagged))
-        else:
-            if group in incomplete:
-                raise MetricsError(
-                    f"group {group!r}: pair without similarity or genuineness"
-                )
-            if not flagged or not unflagged:
-                raise MetricsError(
-                    f"group {group!r}: similarity mode needs both genuine "
-                    "and impostor pairs"
-                )
-            result[group] = _best_threshold_accuracy(flagged, unflagged)
+            result[group] = right[g] / totals[g]
+            continue
+        impostor, genuine = sides[g]
+        if not genuine or not impostor:
+            raise MetricsError(
+                f"group {group!r}: similarity mode needs both genuine "
+                "and impostor pairs"
+            )
+        # a NaN equals nothing, so the sweep could never step past it
+        if not all(map(math.isfinite, chain(genuine, impostor))):
+            raise MetricsError(f"group {group!r}: non-finite similarity")
+        result[group] = _best_threshold_accuracy(genuine, impostor)
     return result
+
+
+def _as_table(pairs, mode):
+    """``pairs`` as a ``_PairTable`` in ``mode``, plus the indices of the
+    groups that have a pair lacking the mode's value or flag. A table read
+    in the same mode is used as it is; anything else is read as
+    ``PairRecord``s."""
+    if isinstance(pairs, _PairTable) and pairs.mode == mode:
+        return pairs, ()
+    table = _PairTable(mode)
+    incomplete = set()
+    for pair in pairs:
+        g = table.group_index(pair.group)
+        if mode == "similarity":
+            value, flag = pair.similarity, pair.is_genuine
+            complete = value is not None and flag is not None
+        else:
+            value, flag = None, pair.correct
+            complete = flag is not None
+        if complete:
+            table.append(g, bool(flag), value)
+        else:
+            incomplete.add(g)
+    return table, incomplete
 
 
 def _best_threshold_accuracy(genuine, impostor):
@@ -218,7 +290,8 @@ def pareto_frontier(points):
 
 def read_pairs_csv(path, mode):
     """Load verification pairs: ``group,correct`` for outcomes mode,
-    ``group,similarity,is_genuine`` for similarity mode (flags are 0/1)."""
+    ``group,similarity,is_genuine`` for similarity mode (flags are 0/1).
+    Returns a read-only sequence of ``PairRecord``s."""
     if mode not in _MODES:
         raise MetricsError(f"unknown mode {mode!r}; expected one of {_MODES}")
     expected = (
@@ -226,8 +299,8 @@ def read_pairs_csv(path, mode):
         if mode == "outcomes"
         else ["group", "similarity", "is_genuine"]
     )
-    pairs = []
-    labels = {}  # one label string per group, shared by its records
+    similarity = mode == "similarity"
+    table = _PairTable(mode)
     with (
         open(path, encoding="utf-8-sig", newline="") as handle,
         decode_errors_as(MetricsError, path),
@@ -243,30 +316,21 @@ def read_pairs_csv(path, mode):
                 continue
             if len(row) != len(expected) or not row[0]:
                 raise MetricsError(f"{path}: line {lineno}: malformed row")
-            group = labels.setdefault(row[0], row[0])
+            value = None
             try:
-                if mode == "outcomes":
-                    pairs.append(
-                        PairRecord(group=group, correct=_parse_flag(row[1]))
-                    )
-                else:
-                    similarity = float(row[1])
-                    if not math.isfinite(similarity):
+                flag = _parse_flag(row[-1])
+                if similarity:
+                    value = float(row[1])
+                    if not math.isfinite(value):
                         raise ValueError
-                    pairs.append(
-                        PairRecord(
-                            group=group,
-                            similarity=similarity,
-                            is_genuine=_parse_flag(row[2]),
-                        )
-                    )
             except ValueError:
                 raise MetricsError(
                     f"{path}: line {lineno}: malformed value"
                 ) from None
-    if not pairs:
+            table.append(table.group_index(row[0]), flag, value)
+    if not table:
         raise MetricsError(f"{path}: no pairs")
-    return pairs
+    return table
 
 
 def _parse_flag(cell):

@@ -73,7 +73,8 @@ class SynthConfig:
             )
         object.__setattr__(self, "images_per_identity", span)
         conc = _broadcast(self.concentration, d, "concentration")
-        if any(isinstance(c, bool) for c in conc):
+        # float() would take "2" or True for a number
+        if any(isinstance(c, (bool, str)) for c in conc):
             raise SynthError("concentration values must be numbers")
         conc = tuple(float(c) for c in conc)
         if any(not math.isfinite(c) or c <= 0 for c in conc):

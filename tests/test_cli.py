@@ -639,6 +639,9 @@ class TestSynthCommand:
              '"images_per_identity": [1, 1], "concentration": true}',
              "concentration values must be numbers"),
             ('{"seed": 1, "groups": ["a", "b"], "identities_per_group": 3, '
+             '"images_per_identity": [1, 1], "concentration": "2"}',
+             "concentration values must be numbers"),
+            ('{"seed": 1, "groups": ["a", "b"], "identities_per_group": 3, '
              '"images_per_identity": [1, 1], "concentration": 1, '
              '"label_noise": false}',
              "label_noise must be in [0, 1)"),

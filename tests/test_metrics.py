@@ -1,8 +1,12 @@
 """Accuracy, fairness aggregates, and Pareto frontier behavior."""
 
+import csv
 import json
 import math
 import random
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,14 +38,20 @@ FIXTURE = "tests/fixtures/reported_metrics.json"
 
 # similarities for one side of a group: a small pool makes ties across the
 # sides likely, and signed zeros compare equal but differ in their bits
-similarity_side = st.lists(
-    st.one_of(
-        st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]),
-        st.floats(allow_nan=False),
-    ),
-    min_size=1,
-    max_size=40,
-)
+def similarity_sides(allow_infinity=True):
+    return st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]),
+            st.floats(allow_nan=False, allow_infinity=allow_infinity),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+
+similarity_side = similarity_sides()
+# pair files hold finite similarities only
+finite_side = similarity_sides(allow_infinity=False)
 
 
 def outcome_pairs(spec):
@@ -136,6 +146,17 @@ class TestGroupAccuracy:
         ]
         with pytest.raises(MetricsError, match="group 'x': pair without"):
             group_accuracy(pairs, "outcomes")
+
+    def test_non_finite_similarity_is_error(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            pairs = [
+                PairRecord("x", similarity=0.5, is_genuine=True),
+                PairRecord("x", similarity=0.4, is_genuine=False),
+                PairRecord("y", similarity=0.5, is_genuine=True),
+                PairRecord("y", similarity=bad, is_genuine=False),
+            ]
+            with pytest.raises(MetricsError, match="group 'y': non-finite"):
+                group_accuracy(pairs, "similarity")
 
     def test_single_class_group_is_error(self):
         pairs = [PairRecord("g", similarity=0.5, is_genuine=True)]
@@ -295,6 +316,102 @@ class TestCsvInterfaces:
         pairs = read_pairs_csv(str(path), "similarity")
         assert pairs[0].similarity == 0.9
         assert pairs[0].is_genuine is True
+        assert pairs[-1] == PairRecord("g", similarity=0.2, is_genuine=False)
+        assert pairs[:1] == [pairs[0]]
+        # read in the other mode, every pair lacks its verdict
+        with pytest.raises(MetricsError, match="'g': pair without a verdict"):
+            group_accuracy(pairs, "outcomes")
+
+    @pytest.mark.parametrize("mode", ["similarity", "outcomes"])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sides=st.lists(
+            st.tuples(finite_side, finite_side), min_size=1, max_size=3
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(sides=[([0.5, 0.5], [0.5])], seed=0)
+    @example(
+        sides=[([0.0, -0.0], [-0.0, 0.0, 0.0]), ([1.0], [0.25, 0.25, 1.0, 2.0])],
+        seed=1,
+    )
+    def test_read_then_score_matches_oracle(self, mode, sides, seed):
+        """Rows of up to three groups, shuffled so the groups interleave;
+        labels that need CSV quoting; values written as their repr."""
+        labels = ["g0", "g 1", "g,2"]
+        rows = [
+            (labels[g], value, flag)
+            for g, (genuine, impostor) in enumerate(sides)
+            for flag, values in ((1, genuine), (0, impostor))
+            for value in values
+        ]
+        random.Random(seed).shuffle(rows)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "pairs.csv"
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle)
+                if mode == "similarity":
+                    writer.writerow(["group", "similarity", "is_genuine"])
+                    writer.writerows(
+                        (label, repr(value), flag) for label, value, flag in rows
+                    )
+                else:
+                    writer.writerow(["group", "correct"])
+                    writer.writerows((label, flag) for label, _, flag in rows)
+            pairs = read_pairs_csv(str(path), mode)
+            got = group_accuracy(pairs, mode)
+
+        if mode == "similarity":
+            expected_records = [
+                PairRecord(label, similarity=value, is_genuine=bool(flag))
+                for label, value, flag in rows
+            ]
+            assert [p.similarity.hex() for p in pairs] == [
+                value.hex() for _, value, _ in rows
+            ]
+        else:
+            expected_records = [
+                PairRecord(label, correct=bool(flag)) for label, _, flag in rows
+            ]
+        assert list(pairs) == expected_records
+
+        expected = {}
+        for label, _, _ in rows:  # groups in first-appearance order
+            genuine, impostor = sides[labels.index(label)]
+            if mode == "similarity":
+                expected[label] = threshold_sweep_oracle(genuine, impostor)
+            else:
+                expected[label] = len(genuine) / (len(genuine) + len(impostor))
+        assert list(got) == list(expected)
+        assert {k: v.hex() for k, v in got.items()} == {
+            k: v.hex() for k, v in expected.items()
+        }
+
+    def test_read_and_score_memory_per_pair(self, tmp_path):
+        """Allocation peak of reading and scoring 20k similarity pairs in four
+        interleaved groups. The columns take 13 bytes a pair, the split into
+        per-group arrays 8 more, and the sweep's float lists exist for one
+        group at a time. One record per pair peaks near 110 bytes a pair,
+        float lists for every group at once near 50."""
+        n = 20_000
+        rng = random.Random(9)
+        path = tmp_path / "pairs.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("group,similarity,is_genuine\n")
+            for k in range(n):
+                genuine = rng.random() < 0.5
+                score = rng.gauss(0.6 if genuine else 0.3, 0.1)
+                handle.write(f"g{k % 4},{score:.4f},{int(genuine)}\n")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            accs = group_accuracy(read_pairs_csv(str(path), "similarity"), "similarity")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(accs) == 4
+        assert peak / n < 40, f"{peak / n:.1f} bytes per pair"
 
     def test_pairs_header_and_flag_validation(self, tmp_path):
         path = tmp_path / "pairs.csv"
