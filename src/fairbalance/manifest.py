@@ -11,11 +11,17 @@ which keeps write/load round trips byte-stable).
 import csv
 import logging
 import math
+import re
 import statistics
-from dataclasses import dataclass, field, replace
+from array import array
+from collections import Counter
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from itertools import accumulate, compress, islice
+from operator import sub, truediv
 
 from ._util import atomic_write, decode_errors_as, fmt_float
-from .errors import ManifestError
+from .errors import InternalInvariantError, ManifestError
 
 log = logging.getLogger(__name__)
 
@@ -23,6 +29,8 @@ log = logging.getLogger(__name__)
 SUM_TOLERANCE = 1e-3
 # sums already this close to 1 are not rescaled
 _RENORM_SKIP = 1e-12
+# U+0000-U+001F and U+007F-U+009F: Unicode category Cc
+_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 DEFAULT_GROUP_LABELS = ("African", "Asian", "Caucasian", "Indian")
 
@@ -84,122 +92,326 @@ class IdentityRecord:
         return len(self.image_ids)
 
 
-@dataclass(frozen=True)
 class Manifest:
-    """Validated image collection.
+    """Validated image collection, held as columns.
 
-    ``identities`` and ``group_counts`` are derived from ``images`` and
-    excluded from equality. Construct through :meth:`from_images` or
-    :func:`load_manifest`; both enforce the invariants, the loader in the
-    same pass that parses the rows.
+    Per row it keeps the image id, the identity's index and the scores (one
+    flat array of doubles, ``d`` per row); per identity, in first-appearance
+    order, the id and the group, and from first use the row indices. No
+    record per row is stored: ``images`` is a read-only sequence and
+    ``identities`` a read-only mapping by identity id, and both build their
+    ``ImageRecord`` or ``IdentityRecord`` on access.
+
+    Equality compares the groups and the rows; ``identities``,
+    ``group_counts`` and ``rejected_rows`` are excluded. Construct through
+    :meth:`from_images` or :func:`load_manifest`; both enforce the
+    invariants, the loader in the same pass that parses the rows.
     """
-
-    groups: GroupSet
-    images: tuple
-    identities: dict = field(compare=False, repr=False)
-    group_counts: tuple = field(compare=False)
-    rejected_rows: int = field(compare=False, default=0)
 
     @classmethod
     def from_images(cls, groups, images, rejected_rows=0):
-        return cls._of_valid_rows(
-            groups, tuple(_validated_images(groups, images)), rejected_rows
-        )
+        """Manifest over ``ImageRecord``s, checked like loaded rows; the
+        first bad record raises."""
+        d = groups.d
+        columns = _Columns(groups)
+        seen = set()
+        for img in images:
+            if img.image_id in seen:
+                raise ManifestError(f"duplicate image_id: {img.image_id!r}")
+            seen.add(img.image_id)
+            if not img.image_id or not img.identity_id:
+                raise ManifestError("image_id and identity_id must be non-empty")
+            if _has_control(img.image_id, img.identity_id):
+                raise ManifestError(
+                    f"{img.image_id!r}: control character in image_id or "
+                    "identity_id"
+                )
+            if not 0 <= img.group < d:
+                raise ManifestError(f"group index out of range for {img.image_id!r}")
+            scores = tuple(float(s) for s in img.scores)
+            if len(scores) != d:
+                raise ManifestError(
+                    f"{img.image_id!r}: expected {d} scores, got {len(scores)}"
+                )
+            for s in scores:
+                if not math.isfinite(s) or not 0.0 <= s <= 1.0:
+                    raise ManifestError(
+                        f"{img.image_id!r}: score {s!r} outside [0, 1]"
+                    )
+            total = math.fsum(scores)
+            if abs(total - 1.0) > SUM_TOLERANCE:
+                raise ManifestError(
+                    f"{img.image_id!r}: scores sum to {total!r}, "
+                    f"more than {SUM_TOLERANCE} away from 1"
+                )
+            if abs(total - 1.0) > _RENORM_SKIP:
+                scores = tuple(s / total for s in scores)
+            columns.add(img.image_id, img.identity_id, img.group, scores)
+        return columns.manifest(rejected_rows)
 
     @classmethod
-    def _of_valid_rows(cls, groups, images, rejected_rows=0):
-        """Manifest over a tuple of rows that already hold every row
-        invariant (unique image ids, in-range groups, normalized scores);
-        only the identity partition is derived and checked."""
-        identities, group_counts = _derive_identities(groups, images)
-        return cls(
-            groups=groups,
-            images=images,
-            identities=identities,
-            group_counts=group_counts,
-            rejected_rows=rejected_rows,
-        )
+    def _of_columns(
+        cls,
+        groups,
+        image_ids,
+        row_identity,
+        scores,
+        identity_ids,
+        identity_groups,
+        rejected_rows=0,
+    ):
+        """Manifest over columns that already hold every row invariant
+        (unique non-empty ids, in-range groups, normalized scores, one group
+        per identity): per row ``image_ids``, ``row_identity`` (an index into
+        ``identity_ids``) and ``d`` doubles of ``scores``; per identity
+        ``identity_ids`` and ``identity_groups``. The columns are kept, not
+        copied, and must not change afterwards."""
+        n = len(image_ids)
+        if (
+            len(row_identity) != n
+            or len(scores) != n * groups.d
+            or len(identity_groups) != len(identity_ids)
+        ):
+            raise InternalInvariantError(
+                f"manifest columns disagree: {n} image ids, "
+                f"{len(row_identity)} identity indices, {len(scores)} scores "
+                f"for {groups.d} groups, {len(identity_ids)} identity ids and "
+                f"{len(identity_groups)} identity groups"
+            )
+        self = object.__new__(cls)
+        self.groups = groups
+        self.rejected_rows = rejected_rows
+        self._image_ids = image_ids
+        self._row_identity = row_identity
+        self._scores = scores
+        self._identity_ids = identity_ids
+        self._identity_groups = identity_groups
+        self._index = None
+        self.group_counts = tuple(identity_groups.count(g) for g in range(groups.d))
+        self._rows = None
+        return self
+
+    @property
+    def images(self):
+        return _ImageView(self)
+
+    @property
+    def identities(self):
+        return _IdentityView(self)
 
     @property
     def identity_count(self):
-        return len(self.identities)
+        return len(self._identity_ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, Manifest):
+            return NotImplemented
+        # equal per-row identity ids give equal first-appearance orders, so
+        # the rows are equal exactly when all these columns are
+        return (
+            self.groups == other.groups
+            and self._image_ids == other._image_ids
+            and self._identity_ids == other._identity_ids
+            and self._row_identity == other._row_identity
+            and self._identity_groups == other._identity_groups
+            and self._scores == other._scores
+        )
+
+    def __hash__(self):
+        return hash((self.groups, len(self._image_ids)))
+
+    def __repr__(self):
+        return (
+            f"Manifest(groups={self.groups.labels!r}, "
+            f"images={len(self._image_ids)}, identities={self.identity_count}, "
+            f"rejected_rows={self.rejected_rows})"
+        )
 
     def remove_identities(self, identity_ids):
         """New manifest without the named identities; row order is kept.
 
-        Skips per-row revalidation: surviving records come from an already
-        validated manifest and removal cannot break any row invariant.
+        One keep-mask pass over the columns. Removal cannot break a row
+        invariant, so nothing is validated again.
         """
         removed = set(identity_ids)
-        return Manifest._of_valid_rows(
+        keep = bytes(ident not in removed for ident in self._identity_ids)
+        # kept identity j becomes identity renumber[j]
+        renumber = array("I", accumulate(keep, initial=0))
+        row_keep = bytes(map(keep.__getitem__, self._row_identity))
+        d = self.groups.d
+        score_keep = bytearray(len(self._scores))
+        for c in range(d):
+            score_keep[c::d] = row_keep
+        return Manifest._of_columns(
             self.groups,
-            tuple(img for img in self.images if img.identity_id not in removed),
+            list(compress(self._image_ids, row_keep)),
+            array("I", map(renumber.__getitem__, compress(self._row_identity, row_keep))),
+            array("d", compress(self._scores, score_keep)),
+            list(compress(self._identity_ids, keep)),
+            array("I", compress(self._identity_groups, keep)),
         )
 
     def identities_of_group(self, group_index):
         """Identity records assigned to a group, in first-appearance order."""
         return [
-            rec for rec in self.identities.values() if rec.group == group_index
+            self._identity_record(j)
+            for j, g in enumerate(self._identity_groups)
+            if g == group_index
         ]
 
+    def _image_record(self, r):
+        r = range(len(self._image_ids))[r]
+        j = self._row_identity[r]
+        d = self.groups.d
+        return ImageRecord(
+            self._image_ids[r],
+            self._identity_ids[j],
+            self._identity_groups[j],
+            tuple(self._scores[r * d:r * d + d]),
+        )
 
-def _validated_images(groups, images):
-    d = groups.d
-    seen = set()
-    out = []
-    for img in images:
-        if img.image_id in seen:
-            raise ManifestError(f"duplicate image_id: {img.image_id!r}")
-        seen.add(img.image_id)
-        if not img.image_id or not img.identity_id:
-            raise ManifestError("image_id and identity_id must be non-empty")
-        if not 0 <= img.group < d:
-            raise ManifestError(f"group index out of range for {img.image_id!r}")
-        scores = tuple(float(s) for s in img.scores)
-        if len(scores) != d:
-            raise ManifestError(
-                f"{img.image_id!r}: expected {d} scores, got {len(scores)}"
+    def _identity_record(self, j):
+        rows, starts = self._rows_by_identity()
+        rows = rows[starts[j]:starts[j + 1]]
+        return IdentityRecord(
+            self._identity_ids[j],
+            self._identity_groups[j],
+            tuple(map(self._image_ids.__getitem__, rows)),
+        )
+
+    def _identity_index(self):
+        """Identity id to identity index, built on first use."""
+        if self._index is None:
+            self._index = {ident: j for j, ident in enumerate(self._identity_ids)}
+        return self._index
+
+    def _rows_by_identity(self):
+        """The row indices grouped by identity, in identity order and row
+        order within an identity, and where each identity's rows start:
+        identity j's rows are ``rows[starts[j]:starts[j + 1]]``. Built on
+        first use, by a stable sort of the row indices on their identity."""
+        if self._rows is None:
+            row_identity = self._row_identity
+            counts = Counter(row_identity)
+            starts = array(
+                "I",
+                accumulate(
+                    map(counts.__getitem__, range(len(self._identity_ids))),
+                    initial=0,
+                ),
             )
-        for s in scores:
-            if not math.isfinite(s) or not 0.0 <= s <= 1.0:
-                raise ManifestError(
-                    f"{img.image_id!r}: score {s!r} outside [0, 1]"
-                )
-        total = math.fsum(scores)
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ManifestError(
-                f"{img.image_id!r}: scores sum to {total!r}, "
-                f"more than {SUM_TOLERANCE} away from 1"
+            rows = sorted(range(len(row_identity)), key=row_identity.__getitem__)
+            self._rows = array("I", rows), starts
+        return self._rows
+
+    def _identity_vectors(self, mean):
+        """Per identity, in first-appearance order: the componentwise
+        ``fsum`` of its rows' scores, divided by its row count when ``mean``
+        (protocol A's identity vector)."""
+        d = self.groups.d
+        rows, starts = self._rows_by_identity()
+        spans = list(map(slice, starts, islice(starts, 1, None)))
+        counts = list(map(sub, islice(starts, 1, None), starts))
+        columns = []
+        for c in range(d):
+            # column c of every row, grouped by identity
+            values = list(map(self._scores[c::d].__getitem__, rows))
+            totals = map(math.fsum, map(values.__getitem__, spans))
+            columns.append(list(map(truediv, totals, counts) if mean else totals))
+        return list(zip(*columns))
+
+
+class _ImageView(Sequence):
+    """A manifest's rows, read-only; indexing builds an ``ImageRecord``."""
+
+    __slots__ = ("_manifest",)
+
+    def __init__(self, manifest):
+        self._manifest = manifest
+
+    def __len__(self):
+        return len(self._manifest._image_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._manifest._image_record(index)
+
+
+class _IdentityView(Mapping):
+    """A manifest's identities by id, in first-appearance order, read-only;
+    lookup builds an ``IdentityRecord``."""
+
+    __slots__ = ("_manifest",)
+
+    def __init__(self, manifest):
+        self._manifest = manifest
+
+    def __len__(self):
+        return len(self._manifest._identity_ids)
+
+    def __iter__(self):
+        return iter(self._manifest._identity_ids)
+
+    def __contains__(self, identity_id):
+        return identity_id in self._manifest._identity_index()
+
+    def __getitem__(self, identity_id):
+        manifest = self._manifest
+        return manifest._identity_record(manifest._identity_index()[identity_id])
+
+
+class _Columns:
+    """The columns of a manifest under construction, one valid row at a
+    time. Identities are numbered in first-appearance order; the first row
+    that puts an identity in a second group is kept and reported by
+    :meth:`manifest`."""
+
+    def __init__(self, groups):
+        self.groups = groups
+        self.image_ids = []
+        self.row_identity = array("I")
+        self.scores = array("d")
+        self.identity_ids = []
+        self.identity_groups = array("I")
+        self.index = {}
+        self.conflict = None
+
+    def add(self, image_id, identity_id, group, scores):
+        j = self.index.get(identity_id)
+        if j is None:
+            j = self.index[identity_id] = len(self.identity_ids)
+            self.identity_ids.append(identity_id)
+            self.identity_groups.append(group)
+        elif self.conflict is None and self.identity_groups[j] != group:
+            labels = self.groups.labels
+            self.conflict = (
+                f"identity {identity_id!r} appears in two groups: "
+                f"{labels[self.identity_groups[j]]!r} and {labels[group]!r}"
             )
-        if abs(total - 1.0) > _RENORM_SKIP:
-            scores = tuple(s / total for s in scores)
-        if scores != img.scores:
-            img = replace(img, scores=scores)
-        out.append(img)
-    return out
+        self.image_ids.append(image_id)
+        self.row_identity.append(j)
+        self.scores.extend(scores)
+
+    def manifest(self, rejected_rows=0):
+        if self.conflict is not None:
+            raise ManifestError(self.conflict)
+        return Manifest._of_columns(
+            self.groups,
+            self.image_ids,
+            self.row_identity,
+            self.scores,
+            self.identity_ids,
+            self.identity_groups,
+            rejected_rows,
+        )
 
 
-def _derive_identities(groups, images):
-    by_identity = {}
-    for img in images:
-        rec = by_identity.get(img.identity_id)
-        if rec is None:
-            by_identity[img.identity_id] = (img.group, [img.image_id])
-        else:
-            if rec[0] != img.group:
-                raise ManifestError(
-                    f"identity {img.identity_id!r} appears in two groups: "
-                    f"{groups.labels[rec[0]]!r} and {groups.labels[img.group]!r}"
-                )
-            rec[1].append(img.image_id)
-    identities = {
-        ident: IdentityRecord(ident, grp, tuple(ids))
-        for ident, (grp, ids) in by_identity.items()
-    }
-    counts = [0] * groups.d
-    for rec in identities.values():
-        counts[rec.group] += 1
-    return identities, tuple(counts)
+def _has_control(image_id, identity_id):
+    """Whether either id holds a control character, which no id may hold."""
+    return bool(
+        _CONTROL_CHARS.search(image_id) or _CONTROL_CHARS.search(identity_id)
+    )
 
 
 _FIXED_COLUMNS = ("image_id", "identity_id", "group")
@@ -213,15 +425,16 @@ def load_manifest(path, groups=None, permissive=False):
     set is inferred from the score columns, in file order.
 
     Row-level problems (unknown group, score outside [0, 1], sum more than
-    1e-3 from 1, malformed fields) reject the row; by default any rejection
+    1e-3 from 1, malformed fields, a control character in an id) reject the
+    row; by default any rejection
     fails the load, while ``permissive=True`` skips the bad rows and keeps a
     count. An identity assigned to two groups or a duplicated image id is
     structural corruption and always fatal. Errors keep this precedence:
     rejected rows (strict mode), then the first duplicated image id in file
     order, then an identity found in two groups.
 
-    Rows are checked, renormalized and tested for duplicate ids in the one
-    pass that parses them.
+    Rows are checked, renormalized, tested for duplicate ids and added to
+    the manifest's columns in the one pass that parses them.
     """
     try:
         handle = open(path, encoding="utf-8-sig", newline="")
@@ -237,7 +450,7 @@ def load_manifest(path, groups=None, permissive=False):
         d = groups.d
         label_index = {label: i for i, label in enumerate(groups.labels)}
 
-        images = []
+        columns = _Columns(groups)
         problems = []
         seen = set()
         duplicate = None
@@ -251,6 +464,8 @@ def load_manifest(path, groups=None, permissive=False):
                 image_id, identity_id, group_label = row[0], row[1], row[2]
                 if not image_id or not identity_id:
                     problem = "empty image_id or identity_id"
+                elif _has_control(image_id, identity_id):
+                    problem = "control character in image_id or identity_id"
                 elif group_label not in label_index:
                     problem = f"unknown group name {group_label!r}"
                 else:
@@ -280,9 +495,7 @@ def load_manifest(path, groups=None, permissive=False):
                     duplicate = image_id
             else:
                 seen.add(image_id)
-            images.append(
-                ImageRecord(image_id, identity_id, label_index[group_label], scores)
-            )
+            columns.add(image_id, identity_id, label_index[group_label], scores)
 
     if problems:
         if not permissive:
@@ -290,13 +503,11 @@ def load_manifest(path, groups=None, permissive=False):
                 f"{path}: rejected {len(problems)} row(s); first: {problems[0]}"
             )
         log.warning("%s: skipped %d invalid row(s)", path, len(problems))
-    if not images:
+    if not columns.image_ids:
         raise ManifestError(f"{path}: empty manifest (no valid rows)")
     if duplicate is not None:
         raise ManifestError(f"duplicate image_id: {duplicate!r}")
-    return Manifest._of_valid_rows(
-        groups, tuple(images), rejected_rows=len(problems)
-    )
+    return columns.manifest(rejected_rows=len(problems))
 
 
 def _check_header(path, header, groups):
@@ -329,15 +540,19 @@ def write_manifest(manifest, path):
     """Write the manifest back to CSV (UTF-8, LF, shortest float repr)."""
     if not manifest.images:
         raise ManifestError("refusing to write an empty manifest")
+    labels = manifest.groups.labels
+    ids, groups = manifest._identity_ids, manifest._identity_groups
+    # the flat score column, d doubles at a time
+    vectors = zip(*[iter(manifest._scores)] * manifest.groups.d)
     with atomic_write(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(list(_FIXED_COLUMNS) + manifest.groups.score_columns())
-        labels = manifest.groups.labels
-        for img in manifest.images:
-            writer.writerow(
-                [img.image_id, img.identity_id, labels[img.group]]
-                + [fmt_float(s) for s in img.scores]
+        writer.writerows(
+            [image_id, ids[j], labels[groups[j]], *map(fmt_float, vector)]
+            for image_id, j, vector in zip(
+                manifest._image_ids, manifest._row_identity, vectors
             )
+        )
 
 
 def summarize(manifest):
@@ -346,16 +561,15 @@ def summarize(manifest):
     component)."""
     own_by_group = [[] for _ in manifest.groups.labels]
     image_counts = [0] * manifest.groups.d
-
-    per_identity = {}
-    for img in manifest.images:
-        per_identity.setdefault(img.identity_id, []).append(
-            img.scores[img.group]
-        )
-        image_counts[img.group] += 1
-    for ident, rec in manifest.identities.items():
-        values = per_identity[ident]
-        own_by_group[rec.group].append(math.fsum(values) / len(values))
+    _, starts = manifest._rows_by_identity()
+    for g, vector, lo, hi in zip(
+        manifest._identity_groups,
+        manifest._identity_vectors(mean=True),
+        starts,
+        islice(starts, 1, None),
+    ):
+        own_by_group[g].append(vector[g])
+        image_counts[g] += hi - lo
 
     per_group = {}
     for i, label in enumerate(manifest.groups.labels):

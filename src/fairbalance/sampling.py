@@ -151,18 +151,19 @@ class _ExactSum:
 
 
 class _DiagTracker:
-    """Diagonal of a shrinking manifest. Per group it keeps the survivor
-    count, the exact sum of their own-group scores, and the entry: the sum
-    divided by the count under group-mean protocols, the raw sum otherwise,
-    and 0.0 for an emptied group."""
+    """Diagonal of a shrinking manifest, from ``own``, the own-group scores
+    by identity index. Per group it keeps the survivor count, the exact sum
+    of their own-group scores, and the entry: the sum divided by the count
+    under group-mean protocols, the raw sum otherwise, and 0.0 for an
+    emptied group."""
 
     def __init__(self, manifest, own, group_mean):
         self.labels = manifest.groups.labels
         self.group_mean = group_mean
         self.counts = list(manifest.group_counts)
         self.sums = [_ExactSum() for _ in self.labels]
-        for ident, rec in manifest.identities.items():
-            self.sums[rec.group].add(own[ident])
+        for g, value in zip(manifest._identity_groups, own):
+            self.sums[g].add(value)
         self.diag = [self._entry(g) for g in range(len(self.labels))]
 
     def _entry(self, g):
@@ -188,6 +189,18 @@ class _DiagTracker:
         )
 
 
+def _own_scores(manifest, protocol):
+    """Each identity's ids component for its own group under ``protocol``,
+    by identity index: the values of ``IdsTable.own_scores``."""
+    return [
+        vector[g]
+        for vector, g in zip(
+            manifest._identity_vectors(protocol.identity_mean),
+            manifest._identity_groups,
+        )
+    ]
+
+
 def sample_protocol(manifest, protocol, z):
     """Remove ``z`` identities greedily under one protocol.
 
@@ -198,11 +211,13 @@ def sample_protocol(manifest, protocol, z):
     _check_protocol_budget(manifest, protocol, z)
     group_mean = protocol.group_mean
 
-    own = compute_ids(manifest, protocol).own_scores(manifest)
+    own = _own_scores(manifest, protocol)
     labels = manifest.groups.labels
     heaps = [[] for _ in labels]
-    for rank, (ident, rec) in enumerate(manifest.identities.items()):
-        heaps[rec.group].append((own[ident], rank, ident))
+    for rank, (ident, g, value) in enumerate(
+        zip(manifest._identity_ids, manifest._identity_groups, own)
+    ):
+        heaps[g].append((value, rank, ident))
     for heap in heaps:
         heapq.heapify(heap)
     tracker = _DiagTracker(manifest, own, group_mean)
@@ -289,8 +304,9 @@ def sample_naive(manifest, protocol, z):
 
 def _baseline_trace(manifest, own, name, seed, removals):
     """Build a trace for a set-style removal, with protocol-A own scores
-    ``own``. ``removals`` is a list of (group_index, identity_id), already in
-    the order events should appear."""
+    ``own`` by identity index. ``removals`` is a list of (group_index,
+    identity_index), already in the order events should appear."""
+    ids = manifest._identity_ids
     tracker = _DiagTracker(manifest, own, group_mean=True)
     trace = RemovalTrace(
         name=name,
@@ -298,9 +314,9 @@ def _baseline_trace(manifest, own, name, seed, removals):
         initial_diag=tuple(tracker.diag),
         seed=seed,
     )
-    for step, (group_index, ident) in enumerate(removals, start=1):
-        trace.events.append(tracker.remove(step, ident, group_index, own[ident]))
-    subset = manifest.remove_identities([ident for _, ident in removals])
+    for step, (group_index, j) in enumerate(removals, start=1):
+        trace.events.append(tracker.remove(step, ids[j], group_index, own[j]))
+    subset = manifest.remove_identities([ids[j] for _, j in removals])
     trace.final_manifest = subset
     return subset, trace
 
@@ -348,15 +364,14 @@ def sample_random(manifest, z, seed):
     rng = SplitMix64(seed)
     extras = set(rng.sample(eligible, remainder)) if remainder else set()
 
-    rank = {ident: i for i, ident in enumerate(manifest.identities)}
+    members = [[] for _ in range(d)]
+    for j, g in enumerate(manifest._identity_groups):
+        members[g].append(j)
     removals = []
     for g in range(d):
-        members = [rec.identity_id for rec in manifest.identities_of_group(g)]
         take = quota + (1 if g in extras else 0)
-        chosen = rng.sample(members, take)
-        for ident in sorted(chosen, key=rank.__getitem__):
-            removals.append((g, ident))
-    own = compute_ids(manifest, Protocol.A).own_scores(manifest)
+        removals.extend((g, j) for j in sorted(rng.sample(members[g], take)))
+    own = _own_scores(manifest, Protocol.A)
     return _baseline_trace(manifest, own, "random", seed, removals)
 
 
@@ -381,29 +396,23 @@ def sample_single_group(manifest, group, strategy, keep_fraction, seed=None):
     ):
         raise SamplingError(f"keep_fraction must be in (0, 1], got {keep_fraction!r}")
     g = manifest.groups.index(group)
-    members = [rec.identity_id for rec in manifest.identities_of_group(g)]
+    members = [j for j, gj in enumerate(manifest._identity_groups) if gj == g]
     if not members:
         raise SamplingError(f"group {group!r} has no identities")
 
     keep = math.ceil(keep_fraction * len(members))
-    own = compute_ids(manifest, Protocol.A).own_scores(manifest)
-    rank = {ident: i for i, ident in enumerate(manifest.identities)}
-
-    if strategy == "min":
-        ordered = sorted(members, key=lambda i: (own[i], rank[i]))
-        kept = set(ordered[:keep])
-    elif strategy == "max":
-        ordered = sorted(members, key=lambda i: (-own[i], rank[i]))
-        kept = set(ordered[:keep])
-    else:
+    own = _own_scores(manifest, Protocol.A)
+    if strategy == "rand":
         if seed is None:
             raise SamplingError("strategy 'rand' requires an explicit seed")
         kept = set(SplitMix64(seed).sample(members, keep))
+    else:
+        # a stable sort of the members, which are in identity order, so
+        # equal scores keep first-appearance order under both strategies
+        ordered = sorted(members, key=own.__getitem__, reverse=strategy == "max")
+        kept = set(ordered[:keep])
 
-    removals = [
-        (g, ident)
-        for ident in sorted(set(members) - kept, key=rank.__getitem__)
-    ]
+    removals = [(g, j) for j in members if j not in kept]
     name = f"single-{strategy}-{manifest.groups.labels[g]}"
     return _baseline_trace(
         manifest, own, name, seed if strategy == "rand" else None, removals

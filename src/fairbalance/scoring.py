@@ -16,7 +16,8 @@ import csv
 import logging
 import math
 import statistics
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 from enum import Enum
 
 from ._util import atomic_write, fmt_float
@@ -53,8 +54,8 @@ class IdsTable:
     def own_scores(self, manifest):
         """Each identity's component for its own assigned group."""
         return {
-            ident: self.entries[ident][rec.group]
-            for ident, rec in manifest.identities.items()
+            ident: self.entries[ident][g]
+            for ident, g in zip(manifest._identity_ids, manifest._identity_groups)
         }
 
 
@@ -79,17 +80,10 @@ def compute_ids(manifest, protocol):
     under B and C.
     """
     protocol = Protocol(protocol)
-    stacked = {}
-    for img in manifest.images:
-        stacked.setdefault(img.identity_id, []).append(img.scores)
-    entries = {}
-    for ident, rows in stacked.items():
-        totals = [math.fsum(column) for column in zip(*rows)]
-        if protocol.identity_mean:
-            count = len(rows)
-            totals = [t / count for t in totals]
-        entries[ident] = tuple(totals)
-    return IdsTable(protocol=protocol, entries=entries)
+    vectors = manifest._identity_vectors(protocol.identity_mean)
+    return IdsTable(
+        protocol=protocol, entries=dict(zip(manifest._identity_ids, vectors))
+    )
 
 
 def compute_es(manifest, protocol, ids=None):
@@ -109,8 +103,8 @@ def compute_es(manifest, protocol, ids=None):
         )
     d = manifest.groups.d
     members = [[] for _ in range(d)]
-    for ident, rec in manifest.identities.items():
-        members[rec.group].append(ids.entries[ident])
+    for ident, g in zip(manifest._identity_ids, manifest._identity_groups):
+        members[g].append(ids.entries[ident])
     rows = []
     for r in range(d):
         vectors = members[r]
@@ -138,23 +132,24 @@ def relabel(manifest):
     the lowest group index. Labels feed only the group assignment, never the
     scores, so applying this twice changes nothing. Moving whole identities
     between groups cannot break a row invariant, so the rows are not
-    validated again.
+    validated again, and the result shares the row columns.
     """
-    ids = compute_ids(manifest, Protocol.A)
-    new_group = {}
-    for ident, vector in ids.entries.items():
-        best = 0
-        for c in range(1, len(vector)):
-            if vector[c] > vector[best]:
-                best = c
-        new_group[ident] = best
-    images = [
-        img
-        if new_group[img.identity_id] == img.group
-        else replace(img, group=new_group[img.identity_id])
-        for img in manifest.images
-    ]
-    return Manifest._of_valid_rows(manifest.groups, tuple(images))
+    # max keeps the first of equal maxima: the lowest group index
+    groups = array(
+        "I",
+        (
+            max(range(len(vector)), key=vector.__getitem__)
+            for vector in manifest._identity_vectors(mean=True)
+        ),
+    )
+    return Manifest._of_columns(
+        manifest.groups,
+        manifest._image_ids,
+        manifest._row_identity,
+        manifest._scores,
+        manifest._identity_ids,
+        groups,
+    )
 
 
 @dataclass(frozen=True)
@@ -215,10 +210,9 @@ def write_ids_csv(manifest, ids, path):
         writer.writerow(
             ["identity_id", "group"] + [f"ids_{label}" for label in labels]
         )
-        for ident, rec in manifest.identities.items():
+        for ident, g in zip(manifest._identity_ids, manifest._identity_groups):
             writer.writerow(
-                [ident, labels[rec.group]]
-                + [fmt_float(v) for v in ids.entries[ident]]
+                [ident, labels[g]] + [fmt_float(v) for v in ids.entries[ident]]
             )
 
 

@@ -5,8 +5,12 @@ over speed: plain double loops, no incremental state, no shared code with
 the package beyond the data types it consumes.
 """
 
+import csv
 import math
+import re
 from collections import defaultdict
+
+from fairbalance import IdentityRecord, ImageRecord, ManifestError
 
 
 def ids_oracle(manifest, protocol):
@@ -104,3 +108,102 @@ def threshold_sweep_oracle(genuine, impostor):
             best = correct
         i = j
     return best / n
+
+
+def load_manifest_oracle(path, groups, permissive=False):
+    """The row-record loader: one ``ImageRecord`` per valid row, checked
+    and renormalized as it is parsed, then the identity partition derived
+    from the records. Returns ``(images, identities, group_counts,
+    rejected_rows)``, with ``identities`` a dict of ``IdentityRecord``s in
+    first-appearance order, or raises ``ManifestError`` with the loader's
+    message. The header row is skipped unread: ``groups`` must match it."""
+    d = groups.d
+    label_index = {label: i for i, label in enumerate(groups.labels)}
+    images, problems, seen, duplicate = [], [], set(), None
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            problem = None
+            if len(row) != 3 + d:
+                problem = f"expected {3 + d} fields, got {len(row)}"
+            else:
+                image_id, identity_id, group_label = row[0], row[1], row[2]
+                if not image_id or not identity_id:
+                    problem = "empty image_id or identity_id"
+                elif re.search(r"[\x00-\x1f\x7f-\x9f]", image_id + identity_id):
+                    problem = "control character in image_id or identity_id"
+                elif group_label not in label_index:
+                    problem = f"unknown group name {group_label!r}"
+                else:
+                    try:
+                        scores = tuple(map(float, row[3:]))
+                    except ValueError:
+                        problem = "non-numeric score"
+                    else:
+                        if not all(0.0 <= s <= 1.0 for s in scores):
+                            problem = "score outside [0, 1]"
+                        else:
+                            total = math.fsum(scores)
+                            deviation = abs(total - 1.0)
+                            if deviation > 1e-3:
+                                problem = (
+                                    f"score sum {total!r} deviates from 1 "
+                                    "by more than 0.001"
+                                )
+                            elif deviation > 1e-12:
+                                scores = tuple(s / total for s in scores)
+            if problem is not None:
+                problems.append(f"line {lineno}: {problem}")
+                continue
+            if image_id in seen:
+                if duplicate is None:
+                    duplicate = image_id
+            else:
+                seen.add(image_id)
+            images.append(
+                ImageRecord(image_id, identity_id, label_index[group_label], scores)
+            )
+    if problems and not permissive:
+        raise ManifestError(
+            f"{path}: rejected {len(problems)} row(s); first: {problems[0]}"
+        )
+    if not images:
+        raise ManifestError(f"{path}: empty manifest (no valid rows)")
+    if duplicate is not None:
+        raise ManifestError(f"duplicate image_id: {duplicate!r}")
+    by_identity = {}
+    for img in images:
+        rec = by_identity.get(img.identity_id)
+        if rec is None:
+            by_identity[img.identity_id] = (img.group, [img.image_id])
+        else:
+            if rec[0] != img.group:
+                raise ManifestError(
+                    f"identity {img.identity_id!r} appears in two groups: "
+                    f"{groups.labels[rec[0]]!r} and {groups.labels[img.group]!r}"
+                )
+            rec[1].append(img.image_id)
+    identities = {
+        ident: IdentityRecord(ident, grp, tuple(ids))
+        for ident, (grp, ids) in by_identity.items()
+    }
+    counts = [0] * d
+    for rec in identities.values():
+        counts[rec.group] += 1
+    return images, identities, tuple(counts), len(problems)
+
+
+def write_manifest_oracle(groups, images, path):
+    """The row-record writer: one CSV row per ``ImageRecord``, scores in
+    their shortest round-trip form."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["image_id", "identity_id", "group"] + groups.score_columns())
+        for img in images:
+            writer.writerow(
+                [img.image_id, img.identity_id, groups.labels[img.group]]
+                + [repr(float(s)) for s in img.scores]
+            )

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from fairbalance.cli import main
-from fairbalance.manifest import GroupSet, load_manifest, write_manifest
+from fairbalance.manifest import GroupSet, Manifest, load_manifest, write_manifest
 from fairbalance.scoring import relabel
 from fairbalance.synth import SynthConfig, generate
 
@@ -144,6 +144,27 @@ class TestExitCodes:
         assert code == 3
         assert "internal error; this is a bug" in err
 
+    def test_internal_invariant_is_three(
+        self, capsys, monkeypatch, plain_manifest, tmp_path
+    ):
+        def relabel_dropping_a_group(manifest):
+            return Manifest._of_columns(
+                manifest.groups,
+                manifest._image_ids,
+                manifest._row_identity,
+                manifest._scores,
+                manifest._identity_ids,
+                manifest._identity_groups[:-1],
+            )
+
+        monkeypatch.setattr("fairbalance.cli.relabel", relabel_dropping_a_group)
+        code, _, err = run(
+            capsys, "relabel", str(plain_manifest), "--out", str(tmp_path / "o.csv")
+        )
+        assert code == 3
+        assert "InternalInvariantError: manifest columns disagree" in err
+        assert "internal error; this is a bug" in err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -165,6 +186,31 @@ class TestValidate:
         payload = run_json(capsys, "validate", str(path), "--permissive")
         assert payload["rejected_rows"] == 1
         assert payload["identities"] == 1
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "im\x01g,id\x00x,g1,0.7,0.3",
+            "i2\x7f,b,g1,0.7,0.3",
+            "i2,b\x9f,g1,0.7,0.3",
+            '"i\n2",b,g1,0.7,0.3',
+        ],
+        ids=["soh-nul", "del", "c1", "newline"],
+    )
+    def test_control_character_in_id_is_bad_row(self, capsys, tmp_path, row):
+        path = tmp_path / "control.csv"
+        path.write_text(
+            "image_id,identity_id,group,score_g1,score_g2\n"
+            "i1,a,g1,0.8,0.2\n" + row + "\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "line 3: control character in image_id or identity_id" in err
+        payload = run_json(capsys, "validate", str(path), "--permissive")
+        assert payload["rejected_rows"] == 1
+        assert payload["images"] == 1
 
     def test_explicit_groups_must_match(self, capsys, plain_manifest):
         code, _, err = run(

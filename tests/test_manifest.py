@@ -1,6 +1,8 @@
 """Manifest loading, validation, serialization and summaries."""
 
+import hashlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,19 @@ from fairbalance import (
     GroupSet,
     IdentityRecord,
     ImageRecord,
+    InternalInvariantError,
     Manifest,
     ManifestError,
     PairRecord,
+    SynthConfig,
+    generate,
     load_manifest,
     summarize,
     write_manifest,
 )
+from fairbalance.cli import main
 
+from _oracles import load_manifest_oracle, write_manifest_oracle
 from conftest import build_manifest
 
 HEADER4 = "image_id,identity_id,group,score_African,score_Asian,score_Caucasian,score_Indian"
@@ -183,6 +190,9 @@ BAD_ROWS = (
     "img{n},bad{n},African,0.125,0.125,0.125,0.125",
     "img{n},bad{n},African,0.5,0.5",
     "img{n},,African,0.25,0.25,0.25,0.25",
+    "im\x01g{n},bad{n},African,0.25,0.25,0.25,0.25",
+    "img{n},bad\x00{n},African,0.25,0.25,0.25,0.25",
+    "img{n}\x7f,bad{n}\x9f,African,0.25,0.25,0.25,0.25",
 )
 
 # a valid row: identity number (its group is that number mod 4), raw
@@ -197,10 +207,10 @@ valid_row = st.tuples(
 )
 
 
-def row_bits(manifest):
+def row_bits(images):
     return [
         (img.image_id, img.identity_id, img.group, [s.hex() for s in img.scores])
-        for img in manifest.images
+        for img in images
     ]
 
 
@@ -242,11 +252,100 @@ class TestOnePassLoad:
             return
         loaded = load_manifest(path, permissive=True)
         expected = Manifest.from_images(DEFAULT_GROUPS, parsed, rejected)
-        assert row_bits(loaded) == row_bits(expected)
+        assert row_bits(loaded.images) == row_bits(expected.images)
         assert loaded == expected
         assert loaded.identities == expected.identities
         assert loaded.group_counts == expected.group_counts
         assert loaded.rejected_rows == expected.rejected_rows == rejected
+
+
+# a valid row as above, with zeros of both signs among the weights and a
+# twist: 0 reuses the image id img0 (a duplicate unless that row was
+# rejected), 1 moves the row to the next group (an identity in two groups)
+oracle_row = st.tuples(
+    st.integers(0, 5),
+    st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0])),
+        min_size=4,
+        max_size=4,
+    ).filter(lambda w: math.fsum(w) > 0),
+    st.sampled_from([1.0, 1 - 4e-4, 1 - 1e-9, 1 - 1e-13]),
+    st.integers(0, 19),
+)
+
+
+class TestColumnarLoad:
+    """The columnar loader and writer against the row-record ones kept in
+    ``_oracles``: same rows (scores by ``.hex()``), identities, counts and
+    errors, and the same bytes written."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.one_of(oracle_row, st.sampled_from(BAD_ROWS)), min_size=1, max_size=25
+        ),
+        permissive=st.booleans(),
+    )
+    def test_matches_row_record_oracle(self, tmp_path_factory, rows, permissive):
+        lines = [HEADER4]
+        for n, row in enumerate(rows):
+            if isinstance(row, str):
+                lines.append(row.format(n=n))
+                continue
+            ident, weights, factor, twist = row
+            total = math.fsum(weights)
+            scores = [w / total * factor for w in weights]
+            image_id = "img0" if twist == 0 else f"img{n}"
+            group = DEFAULT_GROUPS.labels[(ident + (twist == 1)) % 4]
+            lines.append(
+                f"{image_id},id{ident},{group}," + ",".join(map(repr, scores))
+            )
+        directory = tmp_path_factory.mktemp("columnar")
+        path = write_text(directory / "m.csv", "\n".join(lines) + "\n")
+
+        try:
+            expected = load_manifest_oracle(path, DEFAULT_GROUPS, permissive)
+        except ManifestError as exc:
+            with pytest.raises(ManifestError) as caught:
+                load_manifest(path, permissive=permissive)
+            assert str(caught.value) == str(exc)
+            return
+        images, identities, group_counts, rejected = expected
+        loaded = load_manifest(path, permissive=permissive)
+        assert row_bits(loaded.images) == row_bits(images)
+        assert list(loaded.identities) == list(identities)
+        assert dict(loaded.identities.items()) == identities
+        assert loaded.group_counts == group_counts
+        assert loaded.rejected_rows == rejected
+
+        write_manifest(loaded, str(directory / "columnar.csv"))
+        write_manifest_oracle(DEFAULT_GROUPS, images, directory / "records.csv")
+        assert (directory / "columnar.csv").read_bytes() == (
+            directory / "records.csv"
+        ).read_bytes()
+
+    def test_load_memory_per_image(self, tmp_path):
+        config = SynthConfig(
+            seed=11,
+            groups=DEFAULT_GROUPS,
+            identities_per_group=(500,),
+            images_per_identity=(1, 8),
+            concentration=(2.0, 4.0, 6.0, 8.0),
+            label_noise=0.05,
+        )
+        path = tmp_path / "m.csv"
+        write_manifest(generate(config), str(path))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            manifest = load_manifest(str(path))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(manifest.images)
+        assert (retained - base) / n < 160, f"{(retained - base) / n:.1f} B/image retained"
+        assert (peak - base) / n < 300, f"{(peak - base) / n:.1f} B/image peak"
 
 
 class TestLoadErrorPrecedence:
@@ -391,6 +490,39 @@ class TestManifestModel:
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
 
+    @pytest.mark.parametrize(
+        "image_id, identity_id", [("im\x01g", "x"), ("i1", "id\x00x"), ("i1\x9f", "x")]
+    )
+    def test_from_images_rejects_control_characters(self, image_id, identity_id):
+        with pytest.raises(ManifestError, match="control character"):
+            build_manifest(("a", "b"), [(image_id, identity_id, 0, (0.5, 0.5))])
+
+    def test_views_build_records_on_access(self, two_groups):
+        m = two_groups
+        assert m.images[-1] == ImageRecord("i4", "d", 1, (0.06, 0.94))
+        assert m.images[1:3] == [m.images[1], m.images[2]]
+        with pytest.raises(IndexError):
+            m.images[4]
+        assert m.identities["b"] == IdentityRecord("b", 0, ("i2",))
+        assert "b" in m.identities and "zz" not in m.identities
+        with pytest.raises(KeyError):
+            m.identities["zz"]
+        assert [rec.identity_id for rec in m.identities_of_group(1)] == ["c", "d"]
+
+    @pytest.mark.parametrize("column", ["scores", "row_identity", "identity_groups"])
+    def test_mismatched_columns_are_internal_errors(self, two_groups, column):
+        m = two_groups
+        columns = {
+            "image_ids": m._image_ids,
+            "row_identity": m._row_identity,
+            "scores": m._scores,
+            "identity_ids": m._identity_ids,
+            "identity_groups": m._identity_groups,
+        }
+        columns[column] = columns[column][:-1]
+        with pytest.raises(InternalInvariantError, match="columns disagree"):
+            Manifest._of_columns(m.groups, **columns)
+
     def test_from_images_rejects_bad_group_index(self):
         with pytest.raises(ManifestError, match="out of range"):
             build_manifest(("a", "b"), [("i1", "x", 5, (0.5, 0.5))])
@@ -420,6 +552,25 @@ class TestSummarize:
         dist = summarize(m)["per_group"]["a"]["own_score"]
         assert dist["deciles"] == [0.9] * 9
         assert summarize(m)["per_group"]["b"]["own_score"] is None
+
+    def test_summary_bytes_pinned_on_criterion_7_inputs(self, tmp_path):
+        """The summaries of criterion 7's seeded synth and random-sample
+        outputs, digested when summarize kept its own per-identity dict."""
+        synth, sample = tmp_path / "synth.csv", tmp_path / "sample.csv"
+        assert main(["synth", "--seed", "7", "--out", str(synth)]) == 0
+        assert main(
+            ["sample", str(synth), "--protocol", "random", "--seed", "7",
+             "--remove", "40", "--out", str(sample)]
+        ) == 0
+        digests = {}
+        for path in (synth, sample):
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["summarize", str(path), "--out", str(out)]) == 0
+            digests[path.stem] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {
+            "synth": "d28d33f41eed8af8065af35a572874043a718457cd106de7f8e9d9961c28c12e",
+            "sample": "f84ff2bf7e96fd6140212bec6df03fb707e0caa40b0d524a3540e86d0c680154",
+        }
 
     def test_summary_keys_are_json_ready(self):
         import json
