@@ -1,6 +1,7 @@
-"""Small shared helpers: atomic file writes, input decoding errors and float
+"""Small shared helpers: atomic file writes, the input CSV reader and float
 formatting."""
 
+import csv
 import os
 import tempfile
 from contextlib import contextmanager
@@ -28,14 +29,42 @@ def atomic_write(path, newline="\n"):
 
 
 @contextmanager
-def decode_errors_as(error, path):
-    """Turn a UnicodeDecodeError raised while reading ``path`` into
-    ``error``, a DataError subclass, so a file that is not UTF-8 text is bad
-    data rather than a crash."""
+def read_csv(path, error):
+    """Open the input CSV ``path`` and yield ``(header, records)``.
+
+    ``header`` is the first record, or None for an empty file. ``records``
+    streams the non-blank records after it as ``(line, row)`` pairs, where
+    ``line`` is the physical line the record starts on. The file is UTF-8
+    with an optional BOM. An unreadable path, a header with duplicate
+    columns, bytes that are not UTF-8 and a record the csv module cannot
+    parse raise ``error``, a DataError subclass, so no input file reaches a
+    traceback.
+    """
     try:
-        yield
-    except UnicodeDecodeError:
-        raise error(f"{path}: not a UTF-8 text file") from None
+        handle = open(path, encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        start = 1
+
+        def records():
+            nonlocal start
+            for row in reader:
+                if row:
+                    yield start, row
+                start = reader.line_num + 1
+
+        try:
+            header = next(reader, None)
+            start = reader.line_num + 1
+            if header is not None and len(header) != len(set(header)):
+                raise error(f"{path}: duplicate columns in header")
+            yield header, records()
+        except UnicodeDecodeError:
+            raise error(f"{path}: not a UTF-8 text file") from None
+        except csv.Error as exc:
+            raise error(f"{path}: line {start}: {exc}") from None
 
 
 def fmt_float(value):

@@ -8,14 +8,15 @@ warning, error).
 """
 
 import argparse
-import csv
 import json
 import logging
+import math
 import os
 import sys
+from operator import ne
 
 from . import __version__
-from ._util import atomic_write, decode_errors_as
+from ._util import atomic_write, read_csv
 from .errors import DataError, ManifestError
 from .manifest import (
     DEFAULT_GROUP_LABELS,
@@ -54,6 +55,10 @@ from .scoring import (
     write_scatter_csv,
 )
 from .synth import SynthConfig, generate
+
+
+class _UsageError(Exception):
+    """A flag combination argparse cannot express; exit 2 like its own."""
 
 
 def _emit(payload, out=None):
@@ -124,11 +129,8 @@ def _cmd_es(args):
 def _cmd_relabel(args):
     manifest = _load(args)
     relabelled = relabel(manifest)
-    changed = sum(
-        1
-        for ident, rec in manifest.identities.items()
-        if relabelled.identities[ident].group != rec.group
-    )
+    # relabel keeps the identity order, so the group columns line up
+    changed = sum(map(ne, manifest._identity_groups, relabelled._identity_groups))
     write_manifest(relabelled, args.out)
     _emit({"identities": manifest.identity_count, "relabelled": changed})
     return 0
@@ -146,26 +148,44 @@ def _sample_budget(args, manifest):
     return manifest.identity_count - target
 
 
-def _cmd_sample(parser, args):
+def _cmd_sample(args):
     manifest = _load(args)
     if args.relabel_first:
         manifest = relabel(manifest)
     z = _sample_budget(args, manifest)
     if args.protocol == "random":
         if args.naive:
-            parser.error("--naive applies to protocols A, B and C only")
+            raise _UsageError("--naive applies to protocols A, B and C only")
         if args.seed is None:
-            parser.error("--protocol random requires --seed")
+            raise _UsageError("--protocol random requires --seed")
         subset, trace = sample_random(manifest, z, args.seed)
     else:
         if args.seed is not None:
-            parser.error("--seed applies to --protocol random only")
+            raise _UsageError("--seed applies to --protocol random only")
         sampler = sample_naive if args.naive else sample_protocol
         subset, trace = sampler(manifest, Protocol(args.protocol), z)
+    return _write_subset(args, subset, trace)
+
+
+def _cmd_single(args):
+    if args.strategy == "rand" and args.seed is None:
+        raise _UsageError("--strategy rand requires --seed")
+    if args.strategy != "rand" and args.seed is not None:
+        raise _UsageError("--seed applies to --strategy rand only")
+    manifest = _load(args)
+    subset, trace = sample_single_group(
+        manifest, args.group, args.strategy, args.keep_fraction, args.seed
+    )
+    return _write_subset(args, subset, trace)
+
+
+def _write_subset(args, subset, trace):
+    """The tail of ``sample`` and ``single``: the subset, the removal log and
+    the evolution file when asked for, then the counts as JSON."""
     write_manifest(subset, args.out)
     if args.log:
         write_removal_log(trace, args.log)
-    if args.evolution:
+    if getattr(args, "evolution", None):
         write_evolution(trace, args.evolution)
     _emit(
         {
@@ -177,29 +197,9 @@ def _cmd_sample(parser, args):
     return 0
 
 
-def _cmd_single(parser, args):
-    if args.strategy == "rand" and args.seed is None:
-        parser.error("--strategy rand requires --seed")
-    if args.strategy != "rand" and args.seed is not None:
-        parser.error("--seed applies to --strategy rand only")
-    manifest = _load(args)
-    subset, trace = sample_single_group(
-        manifest, args.group, args.strategy, args.keep_fraction, args.seed
-    )
-    write_manifest(subset, args.out)
-    if args.log:
-        write_removal_log(trace, args.log)
-    _emit(
-        {
-            "removed": len(trace.events),
-            "identities": subset.identity_count,
-            "images": len(subset.images),
-        }
-    )
-    return 0
-
-
 def _cmd_metrics(args):
+    if args.pairs and not args.mode:
+        raise _UsageError("--pairs requires --mode")
     if args.accuracies:
         try:
             values = [float(v) for v in args.accuracies.split(",")]
@@ -252,32 +252,29 @@ def _cmd_pareto(args):
 def _cmd_scatter(args):
     manifest = _load(args)
     external = {}
-    with (
-        open(args.external, encoding="utf-8-sig", newline="") as handle,
-        decode_errors_as(DataError, args.external),
-    ):
-        reader = csv.reader(handle)
-        header = next(reader, None)
+    with read_csv(args.external, DataError) as (header, records):
         if header != ["image_id", "score"]:
             raise DataError(f"{args.external}: expected header image_id,score")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in records:
             if len(row) != 2:
                 raise DataError(f"{args.external}: line {lineno}: malformed row")
             try:
-                external[row[0]] = float(row[1])
+                score = float(row[1])
             except ValueError:
                 raise DataError(
                     f"{args.external}: line {lineno}: non-numeric score"
                 ) from None
+            # statistics.correlation raises on an infinity and gives nan for a nan
+            if not math.isfinite(score):
+                raise DataError(f"{args.external}: line {lineno}: non-finite score")
+            external[row[0]] = score
     result = score_scatter(manifest, external)
     write_scatter_csv(result, args.out)
     _emit({"per_group": result.correlations, "skipped": result.skipped})
     return 0
 
 
-def _cmd_synth(parser, args):
+def _cmd_synth(args):
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
             try:
@@ -287,7 +284,7 @@ def _cmd_synth(parser, args):
         config = SynthConfig.from_dict(data)
     else:
         if args.seed is None:
-            parser.error("synth requires --seed (or --config)")
+            raise _UsageError("synth requires --seed (or --config)")
         groups = args.groups or GroupSet(DEFAULT_GROUP_LABELS)
         config = SynthConfig(
             seed=args.seed,
@@ -344,6 +341,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=handler)
+        return p
+
     def manifest_arg(p):
         p.add_argument("manifest", help="manifest CSV path")
         p.add_argument(
@@ -353,7 +355,7 @@ def build_parser():
             help="comma-separated group labels (default: inferred from the header)",
         )
 
-    p = sub.add_parser("validate", help="load a manifest and report its shape")
+    p = command("validate", _cmd_validate, "load a manifest and report its shape")
     manifest_arg(p)
     p.add_argument(
         "--permissive",
@@ -361,26 +363,26 @@ def build_parser():
         help="skip invalid rows instead of failing",
     )
 
-    p = sub.add_parser("summarize", help="per-group score distribution summary")
+    p = command("summarize", _cmd_summarize, "per-group score distribution summary")
     manifest_arg(p)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    p = sub.add_parser("ids", help="export per-identity score vectors")
+    p = command("ids", _cmd_ids, "export per-identity score vectors")
     manifest_arg(p)
     p.add_argument("--protocol", required=True, choices=["A", "B", "C"])
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("es", help="export the group-by-group score matrix")
+    p = command("es", _cmd_es, "export the group-by-group score matrix")
     manifest_arg(p)
     p.add_argument("--protocol", required=True, choices=["A", "B", "C"])
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output path (required for csv)")
 
-    p = sub.add_parser("relabel", help="reassign identities to their argmax group")
+    p = command("relabel", _cmd_relabel, "reassign identities to their argmax group")
     manifest_arg(p)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("sample", help="greedy or random identity removal")
+    p = command("sample", _cmd_sample, "greedy or random identity removal")
     manifest_arg(p)
     p.add_argument(
         "--protocol", required=True, choices=["A", "B", "C", "random"]
@@ -405,7 +407,7 @@ def build_parser():
     p.add_argument("--evolution", help="write the diagonal evolution CSV here")
     p.add_argument("--out", required=True, help="subset manifest path")
 
-    p = sub.add_parser("single", help="shrink one group by score or at random")
+    p = command("single", _cmd_single, "shrink one group by score or at random")
     manifest_arg(p)
     p.add_argument("--group", required=True)
     p.add_argument("--strategy", required=True, choices=["min", "max", "rand"])
@@ -414,7 +416,7 @@ def build_parser():
     p.add_argument("--log", help="write the removal log CSV here")
     p.add_argument("--out", required=True, help="subset manifest path")
 
-    p = sub.add_parser("metrics", help="fairness report from pairs or accuracies")
+    p = command("metrics", _cmd_metrics, "fairness report from pairs or accuracies")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--pairs", help="verification pairs CSV")
     source.add_argument(
@@ -432,17 +434,17 @@ def build_parser():
     )
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    p = sub.add_parser("pareto", help="non-dominated runs on the error/bias plane")
+    p = command("pareto", _cmd_pareto, "non-dominated runs on the error/bias plane")
     p.add_argument("--runs", required=True, help="runs CSV")
     p.add_argument("--bias", required=True, choices=["std", "ser"])
     p.add_argument("--out", help="write the flagged runs CSV here")
 
-    p = sub.add_parser("scatter", help="own-group scores against external scores")
+    p = command("scatter", _cmd_scatter, "own-group scores against external scores")
     manifest_arg(p)
     p.add_argument("--external", required=True, help="image_id,score CSV")
     p.add_argument("--out", required=True, help="scatter CSV path")
 
-    p = sub.add_parser("synth", help="generate a synthetic manifest")
+    p = command("synth", _cmd_synth, "generate a synthetic manifest")
     p.add_argument("--config", help="JSON config file (overrides the flags)")
     p.add_argument("--seed", type=int)
     p.add_argument(
@@ -455,8 +457,9 @@ def build_parser():
     p.add_argument("--label-noise", type=float, default=0.0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser(
-        "equilibrium", help="first step whose diagonal spread is below epsilon"
+    p = command(
+        "equilibrium", _cmd_equilibrium,
+        "first step whose diagonal spread is below epsilon",
     )
     p.add_argument("--trace", required=True, help="removal log or evolution CSV")
     p.add_argument("--epsilon", required=True, type=float)
@@ -472,37 +475,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "summarize":
-            return _cmd_summarize(args)
-        if args.command == "ids":
-            return _cmd_ids(args)
-        if args.command == "es":
-            return _cmd_es(args)
-        if args.command == "relabel":
-            return _cmd_relabel(args)
-        if args.command == "sample":
-            return _cmd_sample(parser, args)
-        if args.command == "single":
-            return _cmd_single(parser, args)
-        if args.command == "metrics":
-            if args.pairs and not args.mode:
-                parser.error("--pairs requires --mode")
-            return _cmd_metrics(args)
-        if args.command == "pareto":
-            return _cmd_pareto(args)
-        if args.command == "scatter":
-            return _cmd_scatter(args)
-        if args.command == "synth":
-            return _cmd_synth(parser, args)
-        if args.command == "equilibrium":
-            return _cmd_equilibrium(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - last-resort guard, maps to exit 3

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 from operator import sub, truediv
 
-from ._util import atomic_write, decode_errors_as, fmt_float
+from ._util import atomic_write, fmt_float, read_csv
 from .errors import InternalInvariantError, ManifestError
 
 log = logging.getLogger(__name__)
@@ -436,16 +436,9 @@ def load_manifest(path, groups=None, permissive=False):
     Rows are checked, renormalized, tested for duplicate ids and added to
     the manifest's columns in the one pass that parses them.
     """
-    try:
-        handle = open(path, encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise ManifestError(f"cannot read {path}: {exc}") from exc
-    with handle, decode_errors_as(ManifestError, path):
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{path}: empty file") from None
+    with read_csv(path, ManifestError) as (header, records):
+        if header is None:
+            raise ManifestError(f"{path}: empty file")
         groups = _check_header(path, header, groups)
         d = groups.d
         label_index = {label: i for i, label in enumerate(groups.labels)}
@@ -454,9 +447,7 @@ def load_manifest(path, groups=None, permissive=False):
         problems = []
         seen = set()
         duplicate = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in records:
             problem = None
             if len(row) != 3 + d:
                 problem = f"expected {3 + d} fields, got {len(row)}"
@@ -511,8 +502,6 @@ def load_manifest(path, groups=None, permissive=False):
 
 
 def _check_header(path, header, groups):
-    if len(header) != len(set(header)):
-        raise ManifestError(f"{path}: duplicate columns in header")
     if tuple(header[:3]) != _FIXED_COLUMNS:
         raise ManifestError(
             f"{path}: header must start with {','.join(_FIXED_COLUMNS)}"

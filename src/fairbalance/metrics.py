@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from ._util import atomic_write, decode_errors_as, fmt_float
+from ._util import atomic_write, fmt_float, read_csv
 from .errors import MetricsError
 
 _MODES = ("outcomes", "similarity")
@@ -301,19 +301,12 @@ def read_pairs_csv(path, mode):
     )
     similarity = mode == "similarity"
     table = _PairTable(mode)
-    with (
-        open(path, encoding="utf-8-sig", newline="") as handle,
-        decode_errors_as(MetricsError, path),
-    ):
-        reader = csv.reader(handle)
-        header = next(reader, None)
+    with read_csv(path, MetricsError) as (header, records):
         if header != expected:
             raise MetricsError(
                 f"{path}: expected header {','.join(expected)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in records:
             if len(row) != len(expected) or not row[0]:
                 raise MetricsError(f"{path}: line {lineno}: malformed row")
             value = None
@@ -345,12 +338,7 @@ def read_runs_csv(path):
     """Load run summaries: ``run_id,strategy,size`` plus one ``acc_<group>``
     column per group. Returns (group_labels, rows) where each row is a dict
     with the raw fields and an ``accs`` mapping."""
-    with (
-        open(path, encoding="utf-8-sig", newline="") as handle,
-        decode_errors_as(MetricsError, path),
-    ):
-        reader = csv.reader(handle)
-        header = next(reader, None)
+    with read_csv(path, MetricsError) as (header, records):
         if header is None or header[:3] != ["run_id", "strategy", "size"]:
             raise MetricsError(
                 f"{path}: header must start with run_id,strategy,size"
@@ -360,9 +348,7 @@ def read_runs_csv(path):
             raise MetricsError(f"{path}: need at least two acc_<group> columns")
         labels = tuple(c[len("acc_"):] for c in acc_cols)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in records:
             if len(row) != len(header):
                 raise MetricsError(f"{path}: line {lineno}: malformed row")
             try:

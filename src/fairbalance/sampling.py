@@ -28,7 +28,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from ._util import atomic_write, decode_errors_as, fmt_float
+from ._util import atomic_write, fmt_float, read_csv
 from .errors import SamplingError
 from .manifest import Manifest
 from .rng import SplitMix64
@@ -475,15 +475,9 @@ def read_diag_series(path):
     Returns (group_labels, [(step, diag), ...]) with step 0 rows skipped, so
     the result is directly usable with :func:`equilibrium_step`.
     """
-    with (
-        open(path, encoding="utf-8-sig", newline="") as handle,
-        decode_errors_as(SamplingError, path),
-    ):
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SamplingError(f"{path}: empty file") from None
+    with read_csv(path, SamplingError) as (header, records):
+        if header is None:
+            raise SamplingError(f"{path}: empty file")
         if header and header[0] == "step" and all(
             col.startswith("diag_") and not col.endswith(("_before", "_after"))
             for col in header[1:]
@@ -504,12 +498,10 @@ def read_diag_series(path):
             columns = after
         width = columns[-1] + 1
         series = []
-        for row in reader:
-            if not row:
-                continue
+        for lineno, row in records:
             if len(row) < width:
                 raise SamplingError(
-                    f"{path}: line {reader.line_num}: expected {width} "
+                    f"{path}: line {lineno}: expected {width} "
                     f"fields, got {len(row)}"
                 )
             try:
@@ -518,5 +510,5 @@ def read_diag_series(path):
                     continue
                 series.append((step, tuple(float(row[i]) for i in columns)))
             except ValueError as exc:
-                raise SamplingError(f"{path}: line {reader.line_num}: {exc}") from None
+                raise SamplingError(f"{path}: line {lineno}: {exc}") from None
     return labels, series

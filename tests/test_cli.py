@@ -57,6 +57,31 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+# Each command that reads an input CSV, with a valid file's start for it;
+# {bad} is that file.
+READERS = pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["validate", "{bad}"],
+         "image_id,identity_id,group,score_a,score_b\nimg1,A,a,0.5,0.5\n"),
+        (["metrics", "--pairs", "{bad}", "--mode", "similarity"],
+         "group,similarity,is_genuine\ng,0.5,1\n"),
+        (["pareto", "--runs", "{bad}", "--bias", "std"],
+         "run_id,strategy,size,acc_a,acc_b\nr1,A,50%,0.9,0.8\n"),
+        (["equilibrium", "--trace", "{bad}", "--epsilon", "0.1"],
+         "step,diag_a,diag_b\n0,0.5,0.5\n"),
+        (["scatter", "{manifest}", "--external", "{bad}", "--out", "{out}"],
+         "image_id,score\n"),
+    ],
+    ids=["validate", "metrics", "pareto", "equilibrium", "scatter"],
+)
+
+
+def run_reader(capsys, argv, bad, manifest, tmp_path):
+    names = {"bad": bad, "manifest": manifest, "out": tmp_path / "o.csv"}
+    return run(capsys, *[arg.format(**names) for arg in argv])
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys, plain_manifest):
         code, out, _ = run(capsys, "validate", str(plain_manifest))
@@ -108,32 +133,40 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize(
-        "argv, text",
-        [
-            (["validate", "{bad}"],
-             "image_id,identity_id,group,score_a,score_b\nimg1,A,a,0.5,0.5\n"),
-            (["metrics", "--pairs", "{bad}", "--mode", "similarity"],
-             "group,similarity,is_genuine\ng,0.5,1\n"),
-            (["pareto", "--runs", "{bad}", "--bias", "std"],
-             "run_id,strategy,size,acc_a,acc_b\nr1,A,50%,0.9,0.8\n"),
-            (["equilibrium", "--trace", "{bad}", "--epsilon", "0.1"],
-             "step,diag_a,diag_b\n0,0.5,0.5\n"),
-            (["scatter", "{manifest}", "--external", "{bad}", "--out", "{out}"],
-             "image_id,score\n"),
-        ],
-        ids=["validate", "metrics", "pareto", "equilibrium", "scatter"],
-    )
+    @READERS
     def test_non_utf8_file_is_one(
         self, capsys, plain_manifest, tmp_path, argv, text
     ):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(text.encode("utf-8") + b"x\xff,1\n")
-        names = {"bad": bad, "manifest": plain_manifest, "out": tmp_path / "o.csv"}
-        code, _, err = run(capsys, *[arg.format(**names) for arg in argv])
+        code, _, err = run_reader(capsys, argv, bad, plain_manifest, tmp_path)
         assert code == 1
         assert err.startswith("error:") and "bad.csv: not a UTF-8 text file" in err
         assert "Traceback" not in err
+
+    @READERS
+    def test_unreadable_path_is_one(
+        self, capsys, plain_manifest, tmp_path, argv, text
+    ):
+        code, _, err = run_reader(
+            capsys, argv, tmp_path / "bad.csv", plain_manifest, tmp_path
+        )
+        assert code == 1
+        assert err.startswith(f"error: cannot read {tmp_path / 'bad.csv'}: ")
+        assert len(err.splitlines()) == 1
+
+    @READERS
+    def test_field_over_csv_limit_is_one(
+        self, capsys, plain_manifest, tmp_path, argv, text
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text + '"' + "x" * 200_000 + '",1\n')
+        line = text.count("\n") + 1
+        code, _, err = run_reader(capsys, argv, bad, plain_manifest, tmp_path)
+        assert code == 1
+        assert err == (
+            f"error: {bad}: line {line}: field larger than field limit (131072)\n"
+        )
 
     def test_internal_error_is_three(self, capsys, monkeypatch, plain_manifest):
         def boom(*args, **kwargs):
@@ -547,6 +580,20 @@ class TestPareto:
         assert code == 1
         assert "error:" in err
 
+    def test_duplicate_acc_column_is_one(self, capsys, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(
+            "run_id,strategy,size,acc_a,acc_a,acc_b\n"
+            "r1,A,50%,0.9,0.5,0.5\nr2,B,50%,0.7,0.7,0.8\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "frontier.csv"
+        code, _, err = run(capsys, "pareto", "--runs", str(path),
+                           "--bias", "std", "--out", str(out))
+        assert code == 1
+        assert err == f"error: {path}: duplicate columns in header\n"
+        assert not out.exists()
+
 
 class TestScatter:
     def test_joined_output(self, capsys, plain_manifest, tmp_path):
@@ -576,6 +623,22 @@ class TestScatter:
         )
         assert code == 1
         assert "expected header image_id,score" in err
+
+    @pytest.mark.parametrize("score", ["inf", "-inf", "nan"])
+    def test_non_finite_external_score_is_one(
+        self, capsys, plain_manifest, tmp_path, score
+    ):
+        image_id = load_manifest(plain_manifest).images[0].image_id
+        external = tmp_path / "external.csv"
+        external.write_text(
+            f"image_id,score\n{image_id},{score}\n", encoding="utf-8"
+        )
+        code, _, err = run(
+            capsys, "scatter", str(plain_manifest),
+            "--external", str(external), "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 1
+        assert err == f"error: {external}: line 2: non-finite score\n"
 
 
 class TestSynthCommand:

@@ -421,6 +421,10 @@ class TestCsvInterfaces:
         path.write_text("group,correct\ng,yes\n")
         with pytest.raises(MetricsError, match="malformed value"):
             read_pairs_csv(str(path), "outcomes")
+        # errors name the line a record starts on, past a quoted newline
+        path.write_text('group,correct\n"a\nb",1\nx,2\n')
+        with pytest.raises(MetricsError, match="line 4: malformed value"):
+            read_pairs_csv(str(path), "outcomes")
 
     def test_runs_round_trip_and_frontier_csv(self, tmp_path):
         runs = tmp_path / "runs.csv"
@@ -466,6 +470,14 @@ class TestCsvInterfaces:
             read_runs_csv(str(path))
         path.write_text("run_id,strategy,size,acc_x\nr,A,27k,1\n")
         with pytest.raises(MetricsError, match="at least two"):
+            read_runs_csv(str(path))
+        path.write_text("run_id,strategy,size,acc_x,acc_x,acc_y\nr,A,27k,1,2,3\n")
+        with pytest.raises(MetricsError, match="duplicate columns in header"):
+            read_runs_csv(str(path))
+        path.write_text(
+            'run_id,strategy,size,acc_x,acc_y\n"r\n1",A,27k,1,2\nr2,A,27k,x,2\n'
+        )
+        with pytest.raises(MetricsError, match="line 4: non-numeric accuracy"):
             read_runs_csv(str(path))
 
 

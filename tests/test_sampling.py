@@ -453,6 +453,8 @@ class TestTraceFiles:
             ("1,0.4", "expected 3 fields, got 2"),
             ("1,0.4,x", "could not convert string to float"),
             ("1.5,0.4,0.3", "invalid literal for int"),
+            # the line a record starts on, not the one it ends on
+            ('"1\n",0.4', "expected 3 fields, got 2"),
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, row, problem):
@@ -465,6 +467,12 @@ class TestTraceFiles:
         path = tmp_path / "junk.csv"
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(SamplingError, match="not a removal log"):
+            read_diag_series(str(path))
+
+    def test_rejects_duplicate_diag_columns(self, tmp_path):
+        path = tmp_path / "evo.csv"
+        path.write_text("step,diag_a,diag_a\n0,0.5,0.5\n1,0.4,0.4\n")
+        with pytest.raises(SamplingError, match="duplicate columns in header"):
             read_diag_series(str(path))
 
 
