@@ -1,8 +1,9 @@
-"""Small shared helpers: atomic file writes, the input CSV reader and float
-formatting."""
+"""Small shared helpers: atomic file writes, the input CSV reader, float
+formatting and warnings."""
 
 import csv
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 
@@ -70,3 +71,31 @@ def read_csv(path, error):
 def fmt_float(value):
     """Shortest decimal string that round-trips to the same double."""
     return repr(float(value))
+
+
+# The level name the CLI read from FAIRBALANCE_LOG, applied on the first
+# warning; None once applied, or when no CLI runs.
+_log_level = None
+
+
+def set_log_level(name):
+    """Have the first warning set up stderr logging at level ``name``
+    (debug, info, warning, error; anything else means warning)."""
+    global _log_level
+    _log_level = name.upper()
+
+
+def warn(logger, message, *args):
+    """Log a warning on the named logger. ``logging`` is imported here, on
+    the first warning, so a run without one never loads it."""
+    import logging
+
+    global _log_level
+    if _log_level is not None:
+        # logging also has constants that are not levels, such as BASIC_FORMAT
+        level = getattr(logging, _log_level, None)
+        if not isinstance(level, int):
+            level = logging.WARNING
+        logging.basicConfig(stream=sys.stderr, level=level)
+        _log_level = None
+    logging.getLogger(logger).warning(message, *args)

@@ -9,14 +9,13 @@ warning, error).
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
 from operator import ne
 
 from . import __version__
-from ._util import atomic_write, read_csv
+from ._util import atomic_write, read_csv, set_log_level
 from .errors import DataError, ManifestError
 from .manifest import (
     DEFAULT_GROUP_LABELS,
@@ -140,6 +139,8 @@ def _sample_budget(args, manifest):
     if args.remove is not None:
         return args.remove
     target = args.target_size
+    if target < 0:
+        raise DataError(f"target size must be non-negative, got {target}")
     if target > manifest.identity_count:
         raise DataError(
             f"target size {target} exceeds the manifest's "
@@ -468,10 +469,7 @@ def build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("FAIRBALANCE_LOG", "warning").upper()
-    logging.basicConfig(
-        stream=sys.stderr, level=getattr(logging, level, logging.WARNING)
-    )
+    set_log_level(os.environ.get("FAIRBALANCE_LOG", "warning"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

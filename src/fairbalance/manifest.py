@@ -9,21 +9,17 @@ which keeps write/load round trips byte-stable).
 """
 
 import csv
-import logging
 import math
 import re
-import statistics
 from array import array
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
-from operator import sub, truediv
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, sub, truediv
 
-from ._util import atomic_write, fmt_float, read_csv
+from ._util import atomic_write, fmt_float, read_csv, warn
 from .errors import InternalInvariantError, ManifestError
-
-log = logging.getLogger(__name__)
 
 # accepted deviation of a raw row's score sum from 1, before renormalization
 SUM_TOLERANCE = 1e-3
@@ -304,21 +300,42 @@ class Manifest:
             self._rows = array("I", rows), starts
         return self._rows
 
-    def _identity_vectors(self, mean):
-        """Per identity, in first-appearance order: the componentwise
-        ``fsum`` of its rows' scores, divided by its row count when ``mean``
-        (protocol A's identity vector)."""
+    def _row_counts(self):
+        """Each identity's row count, by identity index."""
+        _, starts = self._rows_by_identity()
+        return array("I", map(sub, islice(starts, 1, None), starts))
+
+    def _identity_sums(self, values, mean):
+        """Per identity, in first-appearance order, as an ``array('d')``: the
+        ``fsum`` of its rows' entries of ``values``, a per-row column given
+        in identity order (the order of ``_rows_by_identity``), divided by
+        its row count when ``mean`` (protocol A)."""
+        counts = self._row_counts()
+        values = iter(values)
+        totals = map(math.fsum, map(islice, repeat(values), counts))
+        return array("d", map(truediv, totals, counts) if mean else totals)
+
+    def _score_columns(self, mean):
+        """The identity vectors as ``d`` columns: column ``c`` holds each
+        identity's reduced score on group ``c``."""
         d = self.groups.d
-        rows, starts = self._rows_by_identity()
-        spans = list(map(slice, starts, islice(starts, 1, None)))
-        counts = list(map(sub, islice(starts, 1, None), starts))
-        columns = []
-        for c in range(d):
-            # column c of every row, grouped by identity
-            values = list(map(self._scores[c::d].__getitem__, rows))
-            totals = map(math.fsum, map(values.__getitem__, spans))
-            columns.append(list(map(truediv, totals, counts) if mean else totals))
-        return list(zip(*columns))
+        rows, _ = self._rows_by_identity()
+        return [
+            self._identity_sums(map(self._scores[c::d].__getitem__, rows), mean)
+            for c in range(d)
+        ]
+
+    def _own_column(self, mean):
+        """Each identity's reduced score on its own group, by identity
+        index: the diagonal component of its identity vector."""
+        d = self.groups.d
+        rows, _ = self._rows_by_identity()
+        # each row's own group, in identity order
+        own_groups = chain.from_iterable(
+            map(repeat, self._identity_groups, self._row_counts())
+        )
+        offsets = map(add, map(d.__mul__, rows), own_groups)
+        return self._identity_sums(map(self._scores.__getitem__, offsets), mean)
 
 
 class _ImageView(Sequence):
@@ -493,7 +510,7 @@ def load_manifest(path, groups=None, permissive=False):
             raise ManifestError(
                 f"{path}: rejected {len(problems)} row(s); first: {problems[0]}"
             )
-        log.warning("%s: skipped %d invalid row(s)", path, len(problems))
+        warn(__name__, "%s: skipped %d invalid row(s)", path, len(problems))
     if not columns.image_ids:
         raise ManifestError(f"{path}: empty manifest (no valid rows)")
     if duplicate is not None:
@@ -550,15 +567,13 @@ def summarize(manifest):
     component)."""
     own_by_group = [[] for _ in manifest.groups.labels]
     image_counts = [0] * manifest.groups.d
-    _, starts = manifest._rows_by_identity()
-    for g, vector, lo, hi in zip(
+    for g, own, count in zip(
         manifest._identity_groups,
-        manifest._identity_vectors(mean=True),
-        starts,
-        islice(starts, 1, None),
+        manifest._own_column(mean=True),
+        manifest._row_counts(),
     ):
-        own_by_group[g].append(vector[g])
-        image_counts[g] += hi - lo
+        own_by_group[g].append(own)
+        image_counts[g] += count
 
     per_group = {}
     for i, label in enumerate(manifest.groups.labels):
@@ -591,6 +606,8 @@ def _distribution(values):
             "max": value,
             "deciles": [value] * 9,
         }
+    import statistics
+
     return {
         "mean": math.fsum(values) / len(values),
         "std": statistics.stdev(values),

@@ -7,7 +7,6 @@ trains or evaluates a model.
 
 import csv
 import math
-import statistics
 from array import array
 from collections import Counter
 from collections.abc import Sequence
@@ -226,6 +225,8 @@ def fairness_report(accuracies):
         values = [v / 100.0 for v in values]
     if any(v > 1.0 for v in values):
         raise MetricsError("accuracies above 100 percent")
+
+    import statistics
 
     average = math.fsum(values) / len(values)
     std = statistics.stdev([v * 100.0 for v in values])

@@ -24,17 +24,16 @@ that certifies the fast path.
 
 import csv
 import heapq
-import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, count
+from operator import is_not
 
-from ._util import atomic_write, fmt_float, read_csv
+from ._util import atomic_write, fmt_float, read_csv, warn
 from .errors import SamplingError
 from .manifest import Manifest
 from .rng import SplitMix64
 from .scoring import Protocol, compute_es, compute_ids
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,14 @@ class RemovalTrace:
         return [event.identity_id for event in self.events]
 
 
-def _check_protocol_budget(manifest, protocol, z):
-    if not isinstance(z, int) or z < 0:
+def _check_budget(z):
+    # bool is an int subclass, but True is no budget
+    if not isinstance(z, int) or isinstance(z, bool) or z < 0:
         raise SamplingError(f"removal budget must be a non-negative integer, got {z!r}")
+
+
+def _check_protocol_budget(manifest, protocol, z):
+    _check_budget(z)
     total = manifest.identity_count
     if protocol.group_mean:
         floor = manifest.groups.d
@@ -165,6 +169,8 @@ class _DiagTracker:
         for g, value in zip(manifest._identity_groups, own):
             self.sums[g].add(value)
         self.diag = [self._entry(g) for g in range(len(self.labels))]
+        # the diagonal as of the last event, which is the next one's before
+        self.last = tuple(self.diag)
 
     def _entry(self, g):
         count = self.counts[g]
@@ -174,31 +180,22 @@ class _DiagTracker:
         return total / count if self.group_mean else total
 
     def remove(self, step, ident, g, own_value):
-        """Drop one survivor of group ``g`` and return the step's event."""
-        before = tuple(self.diag)
+        """Drop one survivor of group ``g`` and return the step's event.
+        Its ``diag_before`` is the previous ``diag_after`` tuple itself, and
+        its ``diag_after`` shares every entry but ``g`` with it."""
+        before = self.last
         self.counts[g] -= 1
         self.sums[g].remove(own_value)
         self.diag[g] = self._entry(g)
+        self.last = tuple(self.diag)
         return RemovalEvent(
             step=step,
             identity_id=ident,
             group=self.labels[g],
             own_group_ids=own_value,
             diag_before=before,
-            diag_after=tuple(self.diag),
+            diag_after=self.last,
         )
-
-
-def _own_scores(manifest, protocol):
-    """Each identity's ids component for its own group under ``protocol``,
-    by identity index: the values of ``IdsTable.own_scores``."""
-    return [
-        vector[g]
-        for vector, g in zip(
-            manifest._identity_vectors(protocol.identity_mean),
-            manifest._identity_groups,
-        )
-    ]
 
 
 def sample_protocol(manifest, protocol, z):
@@ -211,7 +208,8 @@ def sample_protocol(manifest, protocol, z):
     _check_protocol_budget(manifest, protocol, z)
     group_mean = protocol.group_mean
 
-    own = _own_scores(manifest, protocol)
+    # the values of IdsTable.own_scores, by identity index
+    own = manifest._own_column(protocol.identity_mean)
     labels = manifest.groups.labels
     heaps = [[] for _ in labels]
     for rank, (ident, g, value) in enumerate(
@@ -225,7 +223,7 @@ def sample_protocol(manifest, protocol, z):
     trace = RemovalTrace(
         name=protocol.value,
         group_labels=labels,
-        initial_diag=tuple(diag),
+        initial_diag=tracker.last,
     )
 
     removed = set()
@@ -311,7 +309,7 @@ def _baseline_trace(manifest, own, name, seed, removals):
     trace = RemovalTrace(
         name=name,
         group_labels=tracker.labels,
-        initial_diag=tuple(tracker.diag),
+        initial_diag=tracker.last,
         seed=seed,
     )
     for step, (group_index, j) in enumerate(removals, start=1):
@@ -329,8 +327,7 @@ def sample_random(manifest, z, seed):
     groups chosen by a seeded draw (restricted to groups that can afford the
     extra removal). Identical seeds give identical results.
     """
-    if not isinstance(z, int) or z < 0:
-        raise SamplingError(f"removal budget must be a non-negative integer, got {z!r}")
+    _check_budget(z)
     if seed is None:
         raise SamplingError("sample_random requires an explicit seed")
     total = manifest.identity_count
@@ -348,7 +345,8 @@ def sample_random(manifest, z, seed):
         )
     if remainder:
         if len(set(counts)) == 1:
-            log.warning(
+            warn(
+                __name__,
                 "budget %d is not divisible by %d groups; removal counts "
                 "will differ by one",
                 z,
@@ -371,7 +369,7 @@ def sample_random(manifest, z, seed):
     for g in range(d):
         take = quota + (1 if g in extras else 0)
         removals.extend((g, j) for j in sorted(rng.sample(members[g], take)))
-    own = _own_scores(manifest, Protocol.A)
+    own = manifest._own_column(mean=True)
     return _baseline_trace(manifest, own, "random", seed, removals)
 
 
@@ -391,6 +389,7 @@ def sample_single_group(manifest, group, strategy, keep_fraction, seed=None):
         )
     if not (
         isinstance(keep_fraction, (int, float))
+        and not isinstance(keep_fraction, bool)
         and math.isfinite(keep_fraction)
         and 0.0 < keep_fraction <= 1.0
     ):
@@ -401,7 +400,7 @@ def sample_single_group(manifest, group, strategy, keep_fraction, seed=None):
         raise SamplingError(f"group {group!r} has no identities")
 
     keep = math.ceil(keep_fraction * len(members))
-    own = _own_scores(manifest, Protocol.A)
+    own = manifest._own_column(mean=True)
     if strategy == "rand":
         if seed is None:
             raise SamplingError("strategy 'rand' requires an explicit seed")
@@ -425,7 +424,11 @@ def equilibrium_step(trace, epsilon):
     Accepts a RemovalTrace or an iterable of (step, diagonal) pairs; returns
     None when the spread never gets there.
     """
-    if not (isinstance(epsilon, (int, float)) and epsilon > 0):
+    if not (
+        isinstance(epsilon, (int, float))
+        and not isinstance(epsilon, bool)
+        and epsilon > 0
+    ):
         raise SamplingError(f"epsilon must be positive, got {epsilon!r}")
     if isinstance(trace, RemovalTrace):
         series = [(event.step, event.diag_after) for event in trace.events]
@@ -439,8 +442,33 @@ def equilibrium_step(trace, epsilon):
     return None
 
 
+def _formatted(diags):
+    """``fmt_float`` over each diagonal tuple of ``diags``, as lists of
+    strings. A tuple that is the very object before it reuses its strings,
+    and an entry is formatted only when it is not the very float object at
+    its place in the tuple before: the same object gives the same string,
+    so this is exact, and a sampler's trace, which shares both, formats one
+    new entry per step."""
+    previous, strings = (), []
+    for diag in diags:
+        if diag is not previous:
+            if len(diag) == len(previous):
+                strings = strings.copy()
+                for i in compress(count(), map(is_not, diag, previous)):
+                    strings[i] = fmt_float(diag[i])
+            else:
+                strings = list(map(fmt_float, diag))
+            previous = diag
+        yield strings
+
+
 def write_removal_log(trace, path):
     labels = trace.group_labels
+    events = trace.events
+    # the before and after strings of each event in turn
+    strings = _formatted(
+        chain.from_iterable((e.diag_before, e.diag_after) for e in events)
+    )
     with atomic_write(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
@@ -448,25 +476,22 @@ def write_removal_log(trace, path):
             + [f"diag_{g}_before" for g in labels]
             + [f"diag_{g}_after" for g in labels]
         )
-        for event in trace.events:
-            writer.writerow(
-                [event.step, event.identity_id, event.group, fmt_float(event.own_group_ids)]
-                + [fmt_float(v) for v in event.diag_before]
-                + [fmt_float(v) for v in event.diag_after]
-            )
+        writer.writerows(
+            [e.step, e.identity_id, e.group, fmt_float(e.own_group_ids), *before, *after]
+            for e, before, after in zip(events, strings, strings)
+        )
 
 
 def write_evolution(trace, path):
     """Step-by-step diagonal series; step 0 is the pre-removal state."""
     labels = trace.group_labels
+    events = trace.events
+    steps = chain((0,), (e.step for e in events))
+    strings = _formatted(chain((trace.initial_diag,), (e.diag_after for e in events)))
     with atomic_write(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["step"] + [f"diag_{g}" for g in labels])
-        writer.writerow([0] + [fmt_float(v) for v in trace.initial_diag])
-        for event in trace.events:
-            writer.writerow(
-                [event.step] + [fmt_float(v) for v in event.diag_after]
-            )
+        writer.writerows([step, *row] for step, row in zip(steps, strings))
 
 
 def read_diag_series(path):

@@ -13,18 +13,16 @@ on when it compares an incremental run against a full recomputation.
 """
 
 import csv
-import logging
 import math
-import statistics
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import gt, itemgetter
 
-from ._util import atomic_write, fmt_float
+from ._util import atomic_write, fmt_float, warn
 from .errors import ScoringError
 from .manifest import Manifest
-
-log = logging.getLogger(__name__)
 
 
 class Protocol(Enum):
@@ -80,9 +78,9 @@ def compute_ids(manifest, protocol):
     under B and C.
     """
     protocol = Protocol(protocol)
-    vectors = manifest._identity_vectors(protocol.identity_mean)
+    columns = manifest._score_columns(protocol.identity_mean)
     return IdsTable(
-        protocol=protocol, entries=dict(zip(manifest._identity_ids, vectors))
+        protocol=protocol, entries=dict(zip(manifest._identity_ids, zip(*columns)))
     )
 
 
@@ -95,32 +93,29 @@ def compute_es(manifest, protocol, ids=None):
     """
     protocol = Protocol(protocol)
     if ids is None:
-        ids = compute_ids(manifest, protocol)
+        columns = manifest._score_columns(protocol.identity_mean)
     elif ids.protocol is not protocol:
         raise ScoringError(
             f"ids table was built for protocol {ids.protocol.value}, "
             f"not {protocol.value}"
         )
-    d = manifest.groups.d
-    members = [[] for _ in range(d)]
-    for ident, g in zip(manifest._identity_ids, manifest._identity_groups):
-        members[g].append(ids.entries[ident])
+    else:
+        vectors = list(map(ids.entries.__getitem__, manifest._identity_ids))
+        columns = [
+            array("d", map(itemgetter(c), vectors)) for c in range(manifest.groups.d)
+        ]
     rows = []
-    for r in range(d):
-        vectors = members[r]
-        if not vectors:
-            if protocol.group_mean:
-                raise ScoringError(
-                    f"group {manifest.groups.labels[r]!r} has no identities; "
-                    "its mean is undefined under protocol "
-                    f"{protocol.value}"
-                )
-            rows.append(tuple(0.0 for _ in range(d)))
-            continue
-        totals = [math.fsum(vec[c] for vec in vectors) for c in range(d)]
+    for r, count in enumerate(manifest.group_counts):
+        if not count and protocol.group_mean:
+            raise ScoringError(
+                f"group {manifest.groups.labels[r]!r} has no identities; "
+                f"its mean is undefined under protocol {protocol.value}"
+            )
+        # an empty group's fsum is 0.0, the zero row of protocol C
+        members = bytes(map(r.__eq__, manifest._identity_groups))
+        totals = [math.fsum(compress(column, members)) for column in columns]
         if protocol.group_mean:
-            n = len(vectors)
-            totals = [t / n for t in totals]
+            totals = [t / count for t in totals]
         rows.append(tuple(totals))
     return EsMatrix(protocol=protocol, groups=manifest.groups.labels, values=tuple(rows))
 
@@ -134,14 +129,14 @@ def relabel(manifest):
     between groups cannot break a row invariant, so the rows are not
     validated again, and the result shares the row columns.
     """
-    # max keeps the first of equal maxima: the lowest group index
-    groups = array(
-        "I",
-        (
-            max(range(len(vector)), key=vector.__getitem__)
-            for vector in manifest._identity_vectors(mean=True)
-        ),
-    )
+    best, *others = manifest._score_columns(mean=True)
+    groups = array("I", [0]) * len(best)
+    # only a strictly greater score moves the maximum: ties keep the lowest
+    # group index
+    for c, column in enumerate(others, start=1):
+        for j in compress(range(len(best)), map(gt, column, best)):
+            best[j] = column[j]
+            groups[j] = c
     return Manifest._of_columns(
         manifest.groups,
         manifest._image_ids,
@@ -184,6 +179,7 @@ def score_scatter(manifest, external_scores):
         per_group[img.group].append((own, ext))
     if not rows:
         raise ScoringError("no overlap between manifest and external scores")
+    import statistics
 
     correlations = {}
     for i, label in enumerate(manifest.groups.labels):
@@ -196,9 +192,7 @@ def score_scatter(manifest, external_scores):
         try:
             correlations[label] = statistics.correlation(own_values, ext_values)
         except statistics.StatisticsError:
-            log.warning(
-                "group %s: correlation undefined (constant input)", label
-            )
+            warn(__name__, "group %s: correlation undefined (constant input)", label)
             correlations[label] = None
     return ScatterResult(rows=tuple(rows), correlations=correlations, skipped=skipped)
 

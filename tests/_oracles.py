@@ -8,9 +8,10 @@ the package beyond the data types it consumes.
 import csv
 import math
 import re
+import statistics
 from collections import defaultdict
 
-from fairbalance import IdentityRecord, ImageRecord, ManifestError
+from fairbalance import IdentityRecord, ImageRecord, ManifestError, Protocol
 
 
 def ids_oracle(manifest, protocol):
@@ -55,6 +56,64 @@ def es_oracle(manifest, protocol):
             row.append(total)
         rows.append(tuple(row))
     return rows
+
+
+def own_scores_oracle(manifest, protocol):
+    """Each identity's ids component for its own group, in first-appearance
+    order, read off the tuple table."""
+    table = ids_oracle(manifest, protocol)
+    return [table[ident][rec.group] for ident, rec in manifest.identities.items()]
+
+
+def relabel_oracle(manifest):
+    """Each identity's new group index, in first-appearance order: the
+    argmax of its protocol-A tuple, the first of equal maxima winning."""
+    table = ids_oracle(manifest, Protocol.A)
+    return [
+        max(range(manifest.groups.d), key=table[ident].__getitem__)
+        for ident in manifest.identities
+    ]
+
+
+def summarize_oracle(manifest):
+    """The summary built from per-identity tuples: counts, and per group the
+    distribution of its identities' own-group mean scores."""
+    table = ids_oracle(manifest, Protocol.A)
+    labels = manifest.groups.labels
+    per_group = {}
+    for g, label in enumerate(labels):
+        members = [rec for rec in manifest.identities.values() if rec.group == g]
+        values = [table[rec.identity_id][g] for rec in members]
+        if not values:
+            own = None
+        elif len(values) == 1:
+            own = {
+                "mean": values[0],
+                "std": None,
+                "min": values[0],
+                "max": values[0],
+                "deciles": [values[0]] * 9,
+            }
+        else:
+            own = {
+                "mean": math.fsum(values) / len(values),
+                "std": statistics.stdev(values),
+                "min": min(values),
+                "max": max(values),
+                "deciles": statistics.quantiles(values, n=10, method="inclusive"),
+            }
+        per_group[label] = {
+            "identities": len(members),
+            "images": sum(rec.image_count for rec in members),
+            "own_score": own,
+        }
+    return {
+        "groups": list(labels),
+        "identities": len(manifest.identities),
+        "images": len(manifest.images),
+        "rejected_rows": manifest.rejected_rows,
+        "per_group": per_group,
+    }
 
 
 def dominates(p, q):
@@ -207,3 +266,33 @@ def write_manifest_oracle(groups, images, path):
                 [img.image_id, img.identity_id, groups.labels[img.group]]
                 + [repr(float(s)) for s in img.scores]
             )
+
+
+def write_removal_log_oracle(trace, path):
+    """The removal log with every entry of every row formatted afresh."""
+    labels = trace.group_labels
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(
+            ["step", "identity_id", "group", "own_group_ids"]
+            + [f"diag_{g}_before" for g in labels]
+            + [f"diag_{g}_after" for g in labels]
+        )
+        for event in trace.events:
+            writer.writerow(
+                [event.step, event.identity_id, event.group,
+                 repr(float(event.own_group_ids))]
+                + [repr(float(v)) for v in event.diag_before]
+                + [repr(float(v)) for v in event.diag_after]
+            )
+
+
+def write_evolution_oracle(trace, path):
+    """The evolution file with every entry formatted afresh."""
+    labels = trace.group_labels
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["step"] + [f"diag_{g}" for g in labels])
+        writer.writerow([0] + [repr(float(v)) for v in trace.initial_diag])
+        for event in trace.events:
+            writer.writerow([event.step] + [repr(float(v)) for v in event.diag_after])

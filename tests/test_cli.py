@@ -5,6 +5,10 @@ by argparse, 3 internal failures.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from fairbalance.cli import main
 from fairbalance.manifest import GroupSet, Manifest, load_manifest, write_manifest
 from fairbalance.scoring import relabel
 from fairbalance.synth import SynthConfig, generate
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +368,14 @@ class TestSample:
         )
         assert code == 1
         assert "exceeds" in err
+
+    def test_negative_target_size_is_one(self, capsys, plain_manifest, tmp_path):
+        code, _, err = run(
+            capsys, "sample", str(plain_manifest), "--protocol", "A",
+            "--target-size", "-1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert err == "error: target size must be non-negative, got -1\n"
 
     def test_remove_and_target_size_conflict(
         self, capsys, plain_manifest, tmp_path
@@ -845,3 +859,48 @@ class TestModuleInvocation:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["identities"] == 20
+
+
+class TestLogging:
+    """Warnings reach stderr as ``WARNING:<logger>:<message>`` at the
+    FAIRBALANCE_LOG level, and a run without one never imports logging."""
+
+    def run_python(self, *argv, **env):
+        return subprocess.run(
+            [sys.executable, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC, **env),
+        )
+
+    @pytest.mark.parametrize(
+        "level, lines",
+        [
+            (None, 1), ("debug", 1), ("warning", 1), ("error", 0), ("critical", 0),
+            ("bogus", 1), ("basic_format", 1),
+        ],
+    )
+    def test_permissive_warning_on_stderr(self, tmp_path, level, lines):
+        path = tmp_path / "partial.csv"
+        path.write_text(
+            "image_id,identity_id,group,score_g1,score_g2\n"
+            "i1,a,g1,0.8,0.2\n"
+            "i2,b,g1,0.9,0.9\n",
+            encoding="utf-8",
+        )
+        env = {} if level is None else {"FAIRBALANCE_LOG": level}
+        result = self.run_python(
+            "-m", "fairbalance", "validate", "--permissive", str(path), **env
+        )
+        assert result.returncode == 0
+        warning = f"WARNING:fairbalance.manifest:{path}: skipped 1 invalid row(s)\n"
+        assert result.stderr == warning * lines
+
+    def test_import_loads_neither_logging_nor_statistics(self):
+        result = self.run_python(
+            "-c",
+            "import sys, fairbalance.cli; "
+            "print(sorted({'logging', 'statistics'} & set(sys.modules)))",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fairbalance import (
     Protocol,
+    RemovalEvent,
     RemovalTrace,
     SamplingError,
     compute_es,
@@ -24,6 +25,7 @@ from fairbalance import (
 )
 from fairbalance.sampling import _ExactSum
 
+from _oracles import write_evolution_oracle, write_removal_log_oracle
 from conftest import build_manifest, tie_heavy_manifests
 
 
@@ -55,6 +57,14 @@ class TestBudgetValidation:
         for bad in (-1, 1.5, "2"):
             with pytest.raises(SamplingError, match="non-negative integer"):
                 sample_protocol(two_groups, Protocol.A, bad)
+
+    def test_rejects_booleans(self, two_groups):
+        # bool is an int subclass; True must not mean a budget of one
+        for bad in (True, False):
+            with pytest.raises(SamplingError, match="non-negative integer"):
+                sample_protocol(two_groups, Protocol.A, bad)
+            with pytest.raises(SamplingError, match="non-negative integer"):
+                sample_random(two_groups, bad, seed=1)
 
     def test_mean_protocols_keep_one_per_group(self, two_groups):
         with pytest.raises(SamplingError, match="fewer than one identity"):
@@ -376,7 +386,7 @@ class TestSampleSingleGroup:
         m = self.make_group()
         with pytest.raises(SamplingError, match="unknown strategy"):
             sample_single_group(m, "a", "median", 0.5)
-        for bad in (0.0, -0.5, 1.5, math.nan):
+        for bad in (0.0, -0.5, 1.5, math.nan, True):
             with pytest.raises(SamplingError, match="keep_fraction"):
                 sample_single_group(m, "a", "min", bad)
 
@@ -410,13 +420,70 @@ class TestEquilibriumStep:
         assert equilibrium_step(trace, 0.01) is None
 
     def test_errors(self):
-        with pytest.raises(SamplingError, match="epsilon"):
-            equilibrium_step(self.spread_series(), 0.0)
+        for bad in (0.0, True):
+            with pytest.raises(SamplingError, match="epsilon"):
+                equilibrium_step(self.spread_series(), bad)
         with pytest.raises(SamplingError, match="empty trace"):
             equilibrium_step([], 0.1)
 
 
+def corpus_traces(m):
+    """Traces of every sampler that runs on ``m`` without an error."""
+    traces = []
+    for protocol in Protocol:
+        z = min(12, m.identity_count - m.groups.d)
+        for sampler in (sample_protocol, sample_naive):
+            try:
+                traces.append(sampler(m, protocol, z)[1])
+            except SamplingError:
+                pass
+    z = min(8, m.groups.d * (min(m.group_counts) - 2))
+    if z >= 1:
+        traces.append(sample_random(m, z, seed=7)[1])
+    for strategy in ("min", "max", "rand"):
+        traces.append(
+            sample_single_group(m, m.groups.labels[-1], strategy, 0.5, seed=7)[1]
+        )
+    return traces
+
+
 class TestTraceFiles:
+    def test_bytes_match_writers_that_format_every_entry(self, small_corpus, tmp_path):
+        """Reusing the strings of shared tuples and floats writes the same
+        bytes as formatting every entry, for every sampler's trace and for
+        a hand-built one whose tuples share nothing."""
+        hand = RemovalTrace(
+            name="hand",
+            group_labels=("a", "b"),
+            initial_diag=(0.5, -0.0),
+            events=[
+                RemovalEvent(1, "x", "a", 0.25, (0.5, -0.0), (0.75, 0.0)),
+                RemovalEvent(2, "y", "b", 1e-300, (0.75, 0.0), (0.75, 1 / 3)),
+            ],
+        )
+        traces = [hand]
+        for m in small_corpus[:8]:
+            traces.extend(corpus_traces(m))
+        written = tmp_path / "written.csv"
+        expected = tmp_path / "expected.csv"
+        for trace in traces:
+            for writer, oracle in (
+                (write_removal_log, write_removal_log_oracle),
+                (write_evolution, write_evolution_oracle),
+            ):
+                writer(trace, str(written))
+                oracle(trace, expected)
+                assert written.read_bytes() == expected.read_bytes(), trace.name
+
+    def test_events_share_diagonal_tuples(self, small_corpus):
+        """Each event's ``diag_before`` is the tuple before it, not a copy,
+        so the writers format each diagonal once."""
+        for trace in corpus_traces(small_corpus[0]):
+            previous = trace.initial_diag
+            for event in trace.events:
+                assert event.diag_before is previous, trace.name
+                previous = event.diag_after
+
     def test_removal_log_round_trip(self, two_groups, tmp_path):
         _, trace = sample_protocol(two_groups, Protocol.C, 2)
         path = str(tmp_path / "log.csv")

@@ -3,11 +3,16 @@
 import csv
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairbalance import (
+    DEFAULT_GROUPS,
     GroupSet,
+    IdsTable,
     Protocol,
     ScoringError,
     SynthConfig,
@@ -16,11 +21,18 @@ from fairbalance import (
     generate,
     relabel,
     score_scatter,
+    summarize,
     write_es_csv,
     write_ids_csv,
 )
 
-from _oracles import es_oracle, ids_oracle
+from _oracles import (
+    es_oracle,
+    ids_oracle,
+    own_scores_oracle,
+    relabel_oracle,
+    summarize_oracle,
+)
 from conftest import build_manifest
 
 
@@ -168,6 +180,110 @@ class TestRelabel:
         )
         out = relabel(m)
         assert all(img.group == 1 for img in out.images)
+
+
+# Few distinct weights, so group maxima tie and sums land on 0.0 and -0.0.
+WEIGHTS = st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.0, 0.1, 7.5])
+
+
+@st.composite
+def small_manifests(draw):
+    """Up to 8 identities over 2 to 4 groups, rows in any order, so an
+    identity's rows interleave with others' and many have a single row; a
+    group may be left without identities."""
+    d = draw(st.integers(2, 4))
+    groups = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=8))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(groups) - 1),
+                st.lists(WEIGHTS, min_size=d, max_size=d),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    images = []
+    for n, (j, weights) in enumerate(rows):
+        total = math.fsum(weights)
+        if total:
+            scores = [w / total for w in weights]
+        else:
+            scores = [-0.0] * d
+            scores[groups[j]] = 1.0
+        images.append((f"img{n}", f"id{j}", groups[j], scores))
+    return build_manifest([f"g{c}" for c in range(d)], images)
+
+
+def hexed(value):
+    """``value`` with every float replaced by its ``.hex()``, so -0.0 and
+    0.0 compare unequal."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
+class TestColumnReductions:
+    """The per-identity column reductions against the tuple-based oracles
+    in ``_oracles``, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=small_manifests())
+    def test_match_tuple_oracles(self, m):
+        for protocol in Protocol:
+            if protocol.group_mean and 0 in m.group_counts:
+                for ids in (None, compute_ids(m, protocol)):
+                    with pytest.raises(ScoringError, match="has no identities"):
+                        compute_es(m, protocol, ids)
+            else:
+                expected = hexed(es_oracle(m, protocol))
+                assert hexed(compute_es(m, protocol).values) == expected
+                table = IdsTable(protocol, ids_oracle(m, protocol))
+                assert hexed(compute_es(m, protocol, table).values) == expected
+                for other in Protocol:
+                    if other is not protocol:
+                        with pytest.raises(ScoringError, match="built for protocol"):
+                            compute_es(m, protocol, compute_ids(m, other))
+            own = m._own_column(protocol.identity_mean)
+            assert hexed(list(own)) == hexed(own_scores_oracle(m, protocol))
+        relabelled = relabel(m)
+        assert [rec.group for rec in relabelled.identities.values()] == (
+            relabel_oracle(m)
+        )
+        assert hexed(summarize(m)) == hexed(summarize_oracle(m))
+
+    def test_peak_memory_per_identity(self):
+        config = SynthConfig(
+            seed=11,
+            groups=DEFAULT_GROUPS,
+            identities_per_group=(500,),
+            images_per_identity=(1, 8),
+            concentration=(2.0, 4.0, 6.0, 8.0),
+            label_noise=0.05,
+        )
+        m = generate(config)
+        m._rows_by_identity()
+        n = m.identity_count
+        for name, reduce in [
+            ("compute_es", lambda: compute_es(m, Protocol.B)),
+            ("relabel", lambda: relabel(m)),
+            ("summarize", lambda: summarize(m)),
+            ("own scores", lambda: m._own_column(True)),
+        ]:
+            reduce()  # a first call may import a module: not per identity
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                reduce()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (peak - base) / n < 150, f"{name}: {(peak - base) / n:.1f} B/identity"
 
 
 class TestScoreScatter:
