@@ -1,5 +1,5 @@
-"""Small shared helpers: atomic file writes, the input CSV reader, float
-formatting and warnings."""
+"""Small shared helpers: atomic file writes, the CSV reader and writer, and
+warnings."""
 
 import csv
 import os
@@ -9,24 +9,48 @@ from contextlib import contextmanager
 
 
 @contextmanager
-def atomic_write(path, newline="\n"):
-    """Write to a temp file in the target directory, then rename into place.
+def atomic_write(path):
+    """Write UTF-8 text with LF line ends to a temp file in the target
+    directory, then rename it into place.
 
     The rename is atomic on POSIX, so readers never observe a half-written
-    file and a crash leaves the previous version intact.
+    file and a crash leaves the previous version intact. A temp file that
+    cannot be created or renamed raises ``OSError("cannot write <path>:
+    <reason>")``, naming ``path`` rather than the temp file.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
+    directory = os.path.dirname(os.path.abspath(path))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as handle:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
+
+
+def _cannot_write(path, exc):
+    return OSError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def write_csv(path, header, rows):
+    """Write the record ``header`` and then each of ``rows`` to the CSV
+    ``path`` through :func:`atomic_write`. The csv module writes a float as
+    its ``repr``, the shortest decimal string that round-trips to the same
+    double."""
+    with atomic_write(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @contextmanager
@@ -66,11 +90,6 @@ def read_csv(path, error):
             raise error(f"{path}: not a UTF-8 text file") from None
         except csv.Error as exc:
             raise error(f"{path}: line {start}: {exc}") from None
-
-
-def fmt_float(value):
-    """Shortest decimal string that round-trips to the same double."""
-    return repr(float(value))
 
 
 # The level name the CLI read from FAIRBALANCE_LOG, applied on the first

@@ -8,7 +8,6 @@ every row sums to one (rows already within 1e-12 of one are left untouched,
 which keeps write/load round trips byte-stable).
 """
 
-import csv
 import math
 import re
 from array import array
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, sub, truediv
 
-from ._util import atomic_write, fmt_float, read_csv, warn
+from ._util import read_csv, warn, write_csv
 from .errors import InternalInvariantError, ManifestError
 
 # accepted deviation of a raw row's score sum from 1, before renormalization
@@ -106,43 +105,21 @@ class Manifest:
 
     @classmethod
     def from_images(cls, groups, images, rejected_rows=0):
-        """Manifest over ``ImageRecord``s, checked like loaded rows; the
-        first bad record raises."""
+        """Manifest over ``ImageRecord``s, checked by the loader's row rules
+        and with its messages; the first bad record raises."""
         d = groups.d
         columns = _Columns(groups)
-        seen = set()
         for img in images:
-            if img.image_id in seen:
-                raise ManifestError(f"duplicate image_id: {img.image_id!r}")
-            seen.add(img.image_id)
-            if not img.image_id or not img.identity_id:
-                raise ManifestError("image_id and identity_id must be non-empty")
-            if _has_control(img.image_id, img.identity_id):
-                raise ManifestError(
-                    f"{img.image_id!r}: control character in image_id or "
-                    "identity_id"
-                )
             if not 0 <= img.group < d:
-                raise ManifestError(f"group index out of range for {img.image_id!r}")
-            scores = tuple(float(s) for s in img.scores)
-            if len(scores) != d:
-                raise ManifestError(
-                    f"{img.image_id!r}: expected {d} scores, got {len(scores)}"
+                problem = "group index out of range"
+            elif len(img.scores) != d:
+                problem = f"expected {d} scores, got {len(img.scores)}"
+            else:
+                problem = columns.add(
+                    img.image_id, img.identity_id, groups.labels[img.group], img.scores
                 )
-            for s in scores:
-                if not math.isfinite(s) or not 0.0 <= s <= 1.0:
-                    raise ManifestError(
-                        f"{img.image_id!r}: score {s!r} outside [0, 1]"
-                    )
-            total = math.fsum(scores)
-            if abs(total - 1.0) > SUM_TOLERANCE:
-                raise ManifestError(
-                    f"{img.image_id!r}: scores sum to {total!r}, "
-                    f"more than {SUM_TOLERANCE} away from 1"
-                )
-            if abs(total - 1.0) > _RENORM_SKIP:
-                scores = tuple(s / total for s in scores)
-            columns.add(img.image_id, img.identity_id, img.group, scores)
+            if problem is not None:
+                raise ManifestError(f"{img.image_id!r}: {problem}")
         return columns.manifest(rejected_rows)
 
     @classmethod
@@ -379,38 +356,78 @@ class _IdentityView(Mapping):
 
 
 class _Columns:
-    """The columns of a manifest under construction, one valid row at a
-    time. Identities are numbered in first-appearance order; the first row
-    that puts an identity in a second group is kept and reported by
-    :meth:`manifest`."""
+    """The columns of a manifest under construction, one checked row at a
+    time. Identities are numbered in first-appearance order; the first
+    duplicated image id and the first row that puts an identity in a second
+    group are kept and reported by :meth:`manifest`."""
 
     def __init__(self, groups):
         self.groups = groups
+        self.label_index = {label: i for i, label in enumerate(groups.labels)}
         self.image_ids = []
         self.row_identity = array("I")
         self.scores = array("d")
         self.identity_ids = []
         self.identity_groups = array("I")
         self.index = {}
+        self.seen = set()
+        self.duplicate = None
         self.conflict = None
 
-    def add(self, image_id, identity_id, group, scores):
+    def add(self, image_id, identity_id, group_label, cells):
+        """Check one row and add it, with its scores renormalized unless
+        they already sum to within 1e-12 of one. Returns the first problem
+        that rejects the row, in this order: an empty id, a control
+        character in an id, an unknown group, a non-numeric score, a score
+        outside [0, 1], a sum more than ``SUM_TOLERANCE`` from 1; or None
+        once the row is added."""
+        if not image_id or not identity_id:
+            return "empty image_id or identity_id"
+        if _CONTROL_CHARS.search(image_id) or _CONTROL_CHARS.search(identity_id):
+            return "control character in image_id or identity_id"
+        group = self.label_index.get(group_label)
+        if group is None:
+            return f"unknown group name {group_label!r}"
+        try:
+            scores = tuple(map(float, cells))
+        except (TypeError, ValueError):
+            return "non-numeric score"
+        # the chained comparison is also false for inf and nan
+        if not all(0.0 <= s <= 1.0 for s in scores):
+            return "score outside [0, 1]"
+        total = math.fsum(scores)
+        deviation = abs(total - 1.0)
+        if deviation > SUM_TOLERANCE:
+            return f"score sum {total!r} deviates from 1 by more than {SUM_TOLERANCE}"
+        if deviation > _RENORM_SKIP:
+            scores = tuple(s / total for s in scores)
+
+        if image_id in self.seen:
+            if self.duplicate is None:
+                self.duplicate = image_id
+        else:
+            self.seen.add(image_id)
         j = self.index.get(identity_id)
         if j is None:
             j = self.index[identity_id] = len(self.identity_ids)
             self.identity_ids.append(identity_id)
             self.identity_groups.append(group)
         elif self.conflict is None and self.identity_groups[j] != group:
-            labels = self.groups.labels
+            first = self.groups.labels[self.identity_groups[j]]
             self.conflict = (
                 f"identity {identity_id!r} appears in two groups: "
-                f"{labels[self.identity_groups[j]]!r} and {labels[group]!r}"
+                f"{first!r} and {group_label!r}"
             )
         self.image_ids.append(image_id)
         self.row_identity.append(j)
         self.scores.extend(scores)
+        return None
 
     def manifest(self, rejected_rows=0):
+        """The manifest over the rows added; a duplicated image id, then an
+        identity in two groups, raises."""
+        if self.duplicate is not None:
+            raise ManifestError(f"duplicate image_id: {self.duplicate!r}")
         if self.conflict is not None:
             raise ManifestError(self.conflict)
         return Manifest._of_columns(
@@ -422,13 +439,6 @@ class _Columns:
             self.identity_groups,
             rejected_rows,
         )
-
-
-def _has_control(image_id, identity_id):
-    """Whether either id holds a control character, which no id may hold."""
-    return bool(
-        _CONTROL_CHARS.search(image_id) or _CONTROL_CHARS.search(identity_id)
-    )
 
 
 _FIXED_COLUMNS = ("image_id", "identity_id", "group")
@@ -450,60 +460,24 @@ def load_manifest(path, groups=None, permissive=False):
     rejected rows (strict mode), then the first duplicated image id in file
     order, then an identity found in two groups.
 
-    Rows are checked, renormalized, tested for duplicate ids and added to
-    the manifest's columns in the one pass that parses them.
+    Each row is checked, renormalized and added to the manifest's columns
+    by ``_Columns.add``, the row check ``Manifest.from_images`` shares, in
+    the one pass that parses the rows.
     """
     with read_csv(path, ManifestError) as (header, records):
         if header is None:
             raise ManifestError(f"{path}: empty file")
         groups = _check_header(path, header, groups)
-        d = groups.d
-        label_index = {label: i for i, label in enumerate(groups.labels)}
-
+        width = 3 + groups.d
         columns = _Columns(groups)
         problems = []
-        seen = set()
-        duplicate = None
         for lineno, row in records:
-            problem = None
-            if len(row) != 3 + d:
-                problem = f"expected {3 + d} fields, got {len(row)}"
+            if len(row) != width:
+                problem = f"expected {width} fields, got {len(row)}"
             else:
-                image_id, identity_id, group_label = row[0], row[1], row[2]
-                if not image_id or not identity_id:
-                    problem = "empty image_id or identity_id"
-                elif _has_control(image_id, identity_id):
-                    problem = "control character in image_id or identity_id"
-                elif group_label not in label_index:
-                    problem = f"unknown group name {group_label!r}"
-                else:
-                    try:
-                        scores = tuple(map(float, row[3:]))
-                    except ValueError:
-                        problem = "non-numeric score"
-                    else:
-                        # the chained comparison is also false for inf and nan
-                        if not all(0.0 <= s <= 1.0 for s in scores):
-                            problem = "score outside [0, 1]"
-                        else:
-                            total = math.fsum(scores)
-                            deviation = abs(total - 1.0)
-                            if deviation > SUM_TOLERANCE:
-                                problem = (
-                                    f"score sum {total!r} deviates from 1 "
-                                    f"by more than {SUM_TOLERANCE}"
-                                )
-                            elif deviation > _RENORM_SKIP:
-                                scores = tuple(s / total for s in scores)
+                problem = columns.add(row[0], row[1], row[2], row[3:])
             if problem is not None:
                 problems.append(f"line {lineno}: {problem}")
-                continue
-            if image_id in seen:
-                if duplicate is None:
-                    duplicate = image_id
-            else:
-                seen.add(image_id)
-            columns.add(image_id, identity_id, label_index[group_label], scores)
 
     if problems:
         if not permissive:
@@ -513,8 +487,6 @@ def load_manifest(path, groups=None, permissive=False):
         warn(__name__, "%s: skipped %d invalid row(s)", path, len(problems))
     if not columns.image_ids:
         raise ManifestError(f"{path}: empty manifest (no valid rows)")
-    if duplicate is not None:
-        raise ManifestError(f"duplicate image_id: {duplicate!r}")
     return columns.manifest(rejected_rows=len(problems))
 
 
@@ -550,15 +522,16 @@ def write_manifest(manifest, path):
     ids, groups = manifest._identity_ids, manifest._identity_groups
     # the flat score column, d doubles at a time
     vectors = zip(*[iter(manifest._scores)] * manifest.groups.d)
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(_FIXED_COLUMNS) + manifest.groups.score_columns())
-        writer.writerows(
-            [image_id, ids[j], labels[groups[j]], *map(fmt_float, vector)]
+    write_csv(
+        path,
+        [*_FIXED_COLUMNS, *manifest.groups.score_columns()],
+        (
+            [image_id, ids[j], labels[groups[j]], *vector]
             for image_id, j, vector in zip(
                 manifest._image_ids, manifest._row_identity, vectors
             )
-        )
+        ),
+    )
 
 
 def summarize(manifest):

@@ -5,7 +5,6 @@ similarity scores, or pre-computed per-group accuracy lists); nothing here
 trains or evaluates a model.
 """
 
-import csv
 import math
 from array import array
 from collections import Counter
@@ -13,7 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from ._util import atomic_write, fmt_float, read_csv
+from ._util import read_csv, write_csv
 from .errors import MetricsError
 
 _MODES = ("outcomes", "similarity")
@@ -407,16 +406,15 @@ def write_frontier_csv(labels, rows, points, frontier, path):
     ``rows`` (None where a row was skipped); frontier membership is by
     object identity so duplicate coordinates stay distinct."""
     frontier_ids = {id(p) for p in frontier}
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["run_id", "strategy", "size"]
-            + [f"acc_{label}" for label in labels]
-            + ["on_frontier"]
-        )
-        for row, point in zip(rows, points):
-            writer.writerow(
-                [row["run_id"], row["strategy"], row["size"]]
-                + [fmt_float(row["accs"][label]) for label in labels]
-                + ["true" if point is not None and id(point) in frontier_ids else "false"]
-            )
+    write_csv(
+        path,
+        ["run_id", "strategy", "size"]
+        + [f"acc_{label}" for label in labels]
+        + ["on_frontier"],
+        (
+            [row["run_id"], row["strategy"], row["size"]]
+            + [row["accs"][label] for label in labels]
+            + ["true" if point is not None and id(point) in frontier_ids else "false"]
+            for row, point in zip(rows, points)
+        ),
+    )

@@ -22,14 +22,13 @@ rebuilds every table each iteration and is the literal-transcription oracle
 that certifies the fast path.
 """
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from operator import is_not
 
-from ._util import atomic_write, fmt_float, read_csv, warn
+from ._util import read_csv, warn, write_csv
 from .errors import SamplingError
 from .manifest import Manifest
 from .rng import SplitMix64
@@ -443,7 +442,7 @@ def equilibrium_step(trace, epsilon):
 
 
 def _formatted(diags):
-    """``fmt_float`` over each diagonal tuple of ``diags``, as lists of
+    """``repr`` over each diagonal tuple of ``diags``, as lists of
     strings. A tuple that is the very object before it reuses its strings,
     and an entry is formatted only when it is not the very float object at
     its place in the tuple before: the same object gives the same string,
@@ -455,9 +454,9 @@ def _formatted(diags):
             if len(diag) == len(previous):
                 strings = strings.copy()
                 for i in compress(count(), map(is_not, diag, previous)):
-                    strings[i] = fmt_float(diag[i])
+                    strings[i] = repr(diag[i])
             else:
-                strings = list(map(fmt_float, diag))
+                strings = list(map(repr, diag))
             previous = diag
         yield strings
 
@@ -469,17 +468,16 @@ def write_removal_log(trace, path):
     strings = _formatted(
         chain.from_iterable((e.diag_before, e.diag_after) for e in events)
     )
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["step", "identity_id", "group", "own_group_ids"]
-            + [f"diag_{g}_before" for g in labels]
-            + [f"diag_{g}_after" for g in labels]
-        )
-        writer.writerows(
-            [e.step, e.identity_id, e.group, fmt_float(e.own_group_ids), *before, *after]
+    write_csv(
+        path,
+        ["step", "identity_id", "group", "own_group_ids"]
+        + [f"diag_{g}_before" for g in labels]
+        + [f"diag_{g}_after" for g in labels],
+        (
+            [e.step, e.identity_id, e.group, e.own_group_ids, *before, *after]
             for e, before, after in zip(events, strings, strings)
-        )
+        ),
+    )
 
 
 def write_evolution(trace, path):
@@ -488,10 +486,11 @@ def write_evolution(trace, path):
     events = trace.events
     steps = chain((0,), (e.step for e in events))
     strings = _formatted(chain((trace.initial_diag,), (e.diag_after for e in events)))
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["step"] + [f"diag_{g}" for g in labels])
-        writer.writerows([step, *row] for step, row in zip(steps, strings))
+    write_csv(
+        path,
+        ["step", *[f"diag_{g}" for g in labels]],
+        ([step, *row] for step, row in zip(steps, strings)),
+    )
 
 
 def read_diag_series(path):

@@ -12,7 +12,6 @@ function of the data multiset, bit for bit, which downstream sampling relies
 on when it compares an incremental run against a full recomputation.
 """
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from enum import Enum
 from itertools import compress
 from operator import gt, itemgetter
 
-from ._util import atomic_write, fmt_float, warn
+from ._util import warn, write_csv
 from .errors import ScoringError
 from .manifest import Manifest
 
@@ -199,28 +198,23 @@ def score_scatter(manifest, external_scores):
 
 def write_ids_csv(manifest, ids, path):
     labels = manifest.groups.labels
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["identity_id", "group"] + [f"ids_{label}" for label in labels]
-        )
-        for ident, g in zip(manifest._identity_ids, manifest._identity_groups):
-            writer.writerow(
-                [ident, labels[g]] + [fmt_float(v) for v in ids.entries[ident]]
-            )
+    write_csv(
+        path,
+        ["identity_id", "group", *[f"ids_{label}" for label in labels]],
+        (
+            [ident, labels[g], *ids.entries[ident]]
+            for ident, g in zip(manifest._identity_ids, manifest._identity_groups)
+        ),
+    )
 
 
 def write_es_csv(es, path):
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["group"] + list(es.groups))
-        for label, row in zip(es.groups, es.values):
-            writer.writerow([label] + [fmt_float(v) for v in row])
+    write_csv(
+        path,
+        ["group", *es.groups],
+        ([label, *row] for label, row in zip(es.groups, es.values)),
+    )
 
 
 def write_scatter_csv(result, path):
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["image_id", "group", "own_score", "external_score"])
-        for image_id, group, own, ext in result.rows:
-            writer.writerow([image_id, group, fmt_float(own), fmt_float(ext)])
+    write_csv(path, ["image_id", "group", "own_score", "external_score"], result.rows)

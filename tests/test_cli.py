@@ -4,6 +4,8 @@ Exit code contract: 0 success, 1 bad data or files, 2 usage errors raised
 by argparse, 3 internal failures.
 """
 
+import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -653,6 +655,121 @@ class TestScatter:
         )
         assert code == 1
         assert err == f"error: {external}: line 2: non-finite score\n"
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    """Criterion 7's seed-7 synth manifest, external scores for every third
+    image and 30 runs, as the inputs of the pinned outputs below."""
+    base = tmp_path_factory.mktemp("pinned")
+    manifest = base / "synth.csv"
+    assert main(["synth", "--seed", "7", "--out", str(manifest)]) == 0
+    images = load_manifest(manifest).images
+    lines = [f"{img.image_id},{i / 97!r}\n" for i, img in enumerate(images)]
+    external = base / "external.csv"
+    external.write_text("image_id,score\n" + "".join(lines[::3]), encoding="utf-8")
+    runs = base / "runs.csv"
+    # accuracies in several spellings, an integer one among them
+    runs.write_text(
+        "run_id,strategy,size,acc_a,acc_b,acc_c\n"
+        + "".join(
+            f"r{i},{'ABC'[i % 3]},{100 - i},{0.9 + i / 310!r},"
+            f"{'1' if i == 7 else f'{0.85 + (i * 7 % 11) / 100:.3f}'},"
+            f"{0.8 + (i * 5 % 13) / 70!r}\n"
+            for i in range(30)
+        ),
+        encoding="utf-8",
+    )
+    return {"manifest": manifest, "external": external, "runs": runs}
+
+
+class TestOutputPaths:
+    """A file that cannot be written names the path asked for, never the
+    temp file, and leaves no temp file behind."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "{manifest}", "--protocol", "A", "--remove", "2",
+             "--out", "{target}"],
+            ["summarize", "{manifest}", "--out", "{target}"],
+        ],
+        ids=["manifest-writer", "json-writer"],
+    )
+    @pytest.mark.parametrize(
+        "target, errno_",
+        [("missing/out.csv", errno.ENOENT), ("directory", errno.EISDIR)],
+        ids=["missing-directory", "directory-target"],
+    )
+    def test_cannot_write_is_one(
+        self, capsys, plain_manifest, tmp_path, argv, target, errno_
+    ):
+        (tmp_path / "directory").mkdir()
+        target = tmp_path / target
+        names = {"manifest": plain_manifest, "target": target}
+        code, _, err = run(capsys, *[arg.format(**names) for arg in argv])
+        assert code == 1
+        assert err == f"error: cannot write {target}: {os.strerror(errno_)}\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
+
+
+# (id, argv, sha256 of {out}) for every output CSV whose bytes no other test
+# pins; {spare} takes any other output of the command
+PINNED_OUTPUTS = [
+    ("ids-A", ["ids", "{manifest}", "--protocol", "A", "--out", "{out}"],
+     "e0c9074ac21de0a230c6ca1e816c3a41b7d28c0c87290e72eec62ed28eba9101"),
+    ("ids-B", ["ids", "{manifest}", "--protocol", "B", "--out", "{out}"],
+     "287885cd00b2487236576c52f31ee77f7d9601af5953aab6ed5580d894454cc2"),
+    ("ids-C", ["ids", "{manifest}", "--protocol", "C", "--out", "{out}"],
+     "287885cd00b2487236576c52f31ee77f7d9601af5953aab6ed5580d894454cc2"),
+    ("es-A", ["es", "{manifest}", "--protocol", "A", "--out", "{out}"],
+     "4a26c037a3db97490b63a0f18fedc6ff3ac3e0f32e0226bb00f7125759a17fb9"),
+    ("es-B", ["es", "{manifest}", "--protocol", "B", "--out", "{out}"],
+     "a60ad6859ebd90c250140578a5f3e4d536ccecebf47aef5de29fe98bd3934cfd"),
+    ("es-C", ["es", "{manifest}", "--protocol", "C", "--out", "{out}"],
+     "04a8f90519e98ae450c5a65d5cac34516494703e2e0bae31df91bacdccce6014"),
+    ("relabel", ["relabel", "{manifest}", "--out", "{out}"],
+     "17429bbd77e8397bc90f8f78ced78b488c428d4ad580f896f6cacd9d3a3152dc"),
+    ("sample-A-log",
+     ["sample", "{manifest}", "--protocol", "A", "--remove", "40",
+      "--log", "{out}", "--out", "{spare}"],
+     "150a34b581c4c8682ae4f133e7841f0ca3fa7cb0beacd4b23a0f1f30159f21cb"),
+    ("sample-A-evolution",
+     ["sample", "{manifest}", "--protocol", "A", "--remove", "40",
+      "--evolution", "{out}", "--out", "{spare}"],
+     "f228309c4c9bc418d650e48161af33f92e9b3ca025fd0f3637a8d6e984045dbb"),
+    ("sample-C-log",
+     ["sample", "{manifest}", "--protocol", "C", "--remove", "40",
+      "--log", "{out}", "--out", "{spare}"],
+     "b7ed82c608393951ecb9f1caf00aed8212504e026d1296a6a6a04406976a1322"),
+    ("sample-C-evolution",
+     ["sample", "{manifest}", "--protocol", "C", "--remove", "40",
+      "--evolution", "{out}", "--out", "{spare}"],
+     "fe0625622c904fa4bb601ef3d34bb0740afe7b1558e1e8c52d785473d0e621d6"),
+    ("single-log",
+     ["single", "{manifest}", "--group", "Asian", "--strategy", "min",
+      "--keep-fraction", "0.5", "--log", "{out}", "--out", "{spare}"],
+     "643ab74929289b34a9ced10906120a6af1f6295325472a085f431422a75bcf9f"),
+    ("scatter",
+     ["scatter", "{manifest}", "--external", "{external}", "--out", "{out}"],
+     "0f06b691cbf3f657e3caf3f456d23811153ffe5bc510f15b92241e03701c5ab2"),
+    ("pareto", ["pareto", "--runs", "{runs}", "--bias", "std", "--out", "{out}"],
+     "97e6a3afa06091af6672057d7b7b7e55922f3413d3e62d7111f24d6fc299fb0c"),
+]
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [case[1:] for case in PINNED_OUTPUTS],
+        ids=[case[0] for case in PINNED_OUTPUTS],
+    )
+    def test_digest(self, capsys, pinned_inputs, tmp_path, argv, digest):
+        out = tmp_path / "out.csv"
+        names = {**pinned_inputs, "out": out, "spare": tmp_path / "spare.csv"}
+        code, _, err = run(capsys, *[arg.format(**names) for arg in argv])
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSynthCommand:

@@ -527,6 +527,35 @@ class TestManifestModel:
         with pytest.raises(ManifestError, match="out of range"):
             build_manifest(("a", "b"), [("i1", "x", 5, (0.5, 0.5))])
 
+    def test_from_images_rejects_non_numeric_score(self):
+        with pytest.raises(ManifestError, match="non-numeric score$"):
+            build_manifest(("a", "b"), [("i1", "x", 0, (None, 1.0))])
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ("i1", "x", 0, (1.5, 0.5)),
+            ("i1", "x", 0, (0.2, 0.2)),
+            ("", "x", 0, (0.5, 0.5)),
+            ("i1", "i\x01d", 0, (0.5, 0.5)),
+            ("i1", "x", 0, ("x", 0.5)),
+        ],
+        ids=["score-1.5", "sum-0.4", "empty-id", "control", "non-numeric"],
+    )
+    def test_from_images_uses_loader_problem_text(self, tmp_path, row):
+        image_id, identity_id, group, scores = row
+        path = write_text(
+            tmp_path / "m.csv",
+            "image_id,identity_id,group,score_a,score_b\n"
+            f"{image_id},{identity_id},{'ab'[group]},{scores[0]},{scores[1]}\n",
+        )
+        with pytest.raises(ManifestError) as loaded:
+            load_manifest(path)
+        problem = str(loaded.value).split("first: line 2: ", 1)[1]
+        with pytest.raises(ManifestError) as built:
+            build_manifest(("a", "b"), [row])
+        assert str(built.value) == f"{image_id!r}: {problem}"
+
 
 class TestSummarize:
     def test_counts_and_naive_means(self):
