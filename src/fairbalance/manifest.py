@@ -105,12 +105,18 @@ class Manifest:
 
     @classmethod
     def from_images(cls, groups, images, rejected_rows=0):
-        """Manifest over ``ImageRecord``s, checked by the loader's row rules
-        and with its messages; the first bad record raises."""
+        """Manifest over ``ImageRecord``s, checked for field types, then by
+        the loader's row rules and messages; the first bad record raises."""
         d = groups.d
         columns = _Columns(groups)
         for img in images:
-            if not 0 <= img.group < d:
+            if not (isinstance(img.image_id, str) and isinstance(img.identity_id, str)):
+                problem = "image_id and identity_id must be strings"
+            elif not isinstance(img.group, int) or isinstance(img.group, bool):
+                problem = f"group must be an integer index, got {img.group!r}"
+            elif not isinstance(img.scores, Sequence):
+                problem = f"scores must be a sequence, got {img.scores!r:.40}"
+            elif not 0 <= img.group < d:
                 problem = "group index out of range"
             elif len(img.scores) != d:
                 problem = f"expected {d} scores, got {len(img.scores)}"

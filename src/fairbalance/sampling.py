@@ -8,21 +8,20 @@ the highest own-group total and pulls it down. Ties on the diagonal go to the
 lowest group index; ties on identity score go to the earliest identity in
 first-appearance order.
 
-``sample_protocol`` picks victims from one min-heap per group and keeps the
-diagonal in a ``_DiagTracker``, which the random and single-group baselines
-share. The tracker holds each group's own-score total as the non-overlapping
-partials of Shewchuk's algorithm (the one behind ``math.fsum``): a removal
-adds the negated score, and the entry is read back with ``fsum`` over those
-few partials. The partials always add up exactly to the survivors' scores,
-so each entry is the same correctly rounded double that ``fsum`` over the
-survivors gives, and a step's diagonal update no longer grows with the
-group (only the heap pop is O(log n)). Both samplers therefore see
-bitwise-identical diagonals and make identical choices; ``sample_naive``
-rebuilds every table each iteration and is the literal-transcription oracle
-that certifies the fast path.
+Every fast sampler only chooses who goes next: the greedy one from each
+group's members sorted once by own-group score, the baselines from their
+removal lists. One loop, ``_run``, records the events and keeps the diagonal
+in a ``_DiagTracker``, which holds each group's own-score total as the
+non-overlapping partials of Shewchuk's algorithm (the one behind
+``math.fsum``): a removal adds the negated score, and the entry is read back
+with ``fsum`` over those few partials. They always add up exactly to the
+survivors' scores, so each entry is the correctly rounded double that
+``fsum`` over the survivors gives, at a cost per step that does not grow
+with the group. Both samplers therefore see bitwise-identical diagonals and
+make identical choices; ``sample_naive`` rebuilds every table each iteration
+and is the literal-transcription oracle that certifies the fast path.
 """
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
@@ -197,6 +196,36 @@ class _DiagTracker:
         )
 
 
+def _members(manifest):
+    """Each group's identity indices, in first-appearance order."""
+    members = [[] for _ in manifest.groups.labels]
+    for j, g in enumerate(manifest._identity_groups):
+        members[g].append(j)
+    return members
+
+
+def _run(manifest, own, name, group_mean, picks, seed=None):
+    """The removal loop of every fast sampler: one event per ``(group
+    index, identity index)`` that ``picks(tracker)`` yields, with ``own``
+    the own-group scores by identity index. Returns ``(subset, trace)``; the
+    subset is ``manifest`` itself when nothing was removed. A SamplingError
+    from ``picks`` leaves with the partial trace attached."""
+    ids = manifest._identity_ids
+    tracker = _DiagTracker(manifest, own, group_mean)
+    trace = RemovalTrace(name, tracker.labels, tracker.last, seed)
+    try:
+        for step, (g, j) in enumerate(picks(tracker), start=1):
+            trace.events.append(tracker.remove(step, ids[j], g, own[j]))
+    except SamplingError as exc:
+        exc.partial_trace = trace
+        raise
+    finally:
+        if trace.events:
+            manifest = manifest.remove_identities(trace.removed_ids())
+        trace.final_manifest = manifest
+    return manifest, trace
+
+
 def sample_protocol(manifest, protocol, z):
     """Remove ``z`` identities greedily under one protocol.
 
@@ -206,43 +235,27 @@ def sample_protocol(manifest, protocol, z):
     protocol = Protocol(protocol)
     _check_protocol_budget(manifest, protocol, z)
     group_mean = protocol.group_mean
+    labels = manifest.groups.labels
 
     # the values of IdsTable.own_scores, by identity index
     own = manifest._own_column(protocol.identity_mean)
-    labels = manifest.groups.labels
-    heaps = [[] for _ in labels]
-    for rank, (ident, g, value) in enumerate(
-        zip(manifest._identity_ids, manifest._identity_groups, own)
-    ):
-        heaps[g].append((value, rank, ident))
-    for heap in heaps:
-        heapq.heapify(heap)
-    tracker = _DiagTracker(manifest, own, group_mean)
-    diag, counts = tracker.diag, tracker.counts
-    trace = RemovalTrace(
-        name=protocol.value,
-        group_labels=labels,
-        initial_diag=tracker.last,
-    )
+    # each group's members, weakest first; the sort is stable, so equal
+    # scores keep first-appearance order
+    queues = [iter(sorted(m, key=own.__getitem__)) for m in _members(manifest)]
 
-    removed = set()
-    for step in range(1, z + 1):
-        target = _pick_target(diag, counts, group_mean)
-        if group_mean and counts[target] == 1:
-            trace.final_manifest = manifest.remove_identities(removed)
-            raise SamplingError(
-                f"step {step}: removing the last identity of group "
-                f"{labels[target]!r} would empty it under protocol "
-                f"{protocol.value}",
-                partial_trace=trace,
-            )
-        own_value, _rank, ident = heapq.heappop(heaps[target])
-        removed.add(ident)
-        trace.events.append(tracker.remove(step, ident, target, own_value))
+    def picks(tracker):
+        diag, counts = tracker.diag, tracker.counts
+        for step in range(1, z + 1):
+            target = _pick_target(diag, counts, group_mean)
+            if group_mean and counts[target] == 1:
+                raise SamplingError(
+                    f"step {step}: removing the last identity of group "
+                    f"{labels[target]!r} would empty it under protocol "
+                    f"{protocol.value}"
+                )
+            yield target, next(queues[target])
 
-    subset = manifest.remove_identities(removed) if removed else manifest
-    trace.final_manifest = subset
-    return subset, trace
+    return _run(manifest, own, protocol.value, group_mean, picks)
 
 
 def sample_naive(manifest, protocol, z):
@@ -299,25 +312,6 @@ def sample_naive(manifest, protocol, z):
     return current, trace
 
 
-def _baseline_trace(manifest, own, name, seed, removals):
-    """Build a trace for a set-style removal, with protocol-A own scores
-    ``own`` by identity index. ``removals`` is a list of (group_index,
-    identity_index), already in the order events should appear."""
-    ids = manifest._identity_ids
-    tracker = _DiagTracker(manifest, own, group_mean=True)
-    trace = RemovalTrace(
-        name=name,
-        group_labels=tracker.labels,
-        initial_diag=tracker.last,
-        seed=seed,
-    )
-    for step, (group_index, j) in enumerate(removals, start=1):
-        trace.events.append(tracker.remove(step, ids[j], group_index, own[j]))
-    subset = manifest.remove_identities([ids[j] for _, j in removals])
-    trace.final_manifest = subset
-    return subset, trace
-
-
 def sample_random(manifest, z, seed):
     """Remove ``z`` identities uniformly at random, keeping per-group removal
     counts as equal as possible.
@@ -361,15 +355,12 @@ def sample_random(manifest, z, seed):
     rng = SplitMix64(seed)
     extras = set(rng.sample(eligible, remainder)) if remainder else set()
 
-    members = [[] for _ in range(d)]
-    for j, g in enumerate(manifest._identity_groups):
-        members[g].append(j)
     removals = []
-    for g in range(d):
+    for g, members in enumerate(_members(manifest)):
         take = quota + (1 if g in extras else 0)
-        removals.extend((g, j) for j in sorted(rng.sample(members[g], take)))
+        removals.extend((g, j) for j in sorted(rng.sample(members, take)))
     own = manifest._own_column(mean=True)
-    return _baseline_trace(manifest, own, "random", seed, removals)
+    return _run(manifest, own, "random", True, lambda _: removals, seed)
 
 
 _SINGLE_STRATEGIES = ("min", "max", "rand")
@@ -394,7 +385,7 @@ def sample_single_group(manifest, group, strategy, keep_fraction, seed=None):
     ):
         raise SamplingError(f"keep_fraction must be in (0, 1], got {keep_fraction!r}")
     g = manifest.groups.index(group)
-    members = [j for j, gj in enumerate(manifest._identity_groups) if gj == g]
+    members = _members(manifest)[g]
     if not members:
         raise SamplingError(f"group {group!r} has no identities")
 
@@ -412,9 +403,8 @@ def sample_single_group(manifest, group, strategy, keep_fraction, seed=None):
 
     removals = [(g, j) for j in members if j not in kept]
     name = f"single-{strategy}-{manifest.groups.labels[g]}"
-    return _baseline_trace(
-        manifest, own, name, seed if strategy == "rand" else None, removals
-    )
+    seed = seed if strategy == "rand" else None
+    return _run(manifest, own, name, True, lambda _: removals, seed)
 
 
 def equilibrium_step(trace, epsilon):
@@ -496,31 +486,30 @@ def write_evolution(trace, path):
 def read_diag_series(path):
     """Diagonal series from a removal log or an evolution file.
 
+    A header that starts ``step,identity_id,group,own_group_ids`` is a log,
+    read from the after half of its diagonal columns, ``diag_<label>_after``;
+    any other must be ``step`` and then ``diag_<label>`` columns only.
+
     Returns (group_labels, [(step, diag), ...]) with step 0 rows skipped, so
     the result is directly usable with :func:`equilibrium_step`.
     """
     with read_csv(path, SamplingError) as (header, records):
         if header is None:
             raise SamplingError(f"{path}: empty file")
-        if header and header[0] == "step" and all(
-            col.startswith("diag_") and not col.endswith(("_before", "_after"))
-            for col in header[1:]
-        ) and len(header) > 1:
-            labels = tuple(col[len("diag_"):] for col in header[1:])
-            columns = list(range(1, len(header)))
+        if header[:4] == ["step", "identity_id", "group", "own_group_ids"]:
+            diag_count = len(header) - 4
+            first, suffix = 4 + diag_count // 2, "_after"
+            ok = diag_count and not diag_count % 2
         else:
-            after = [
-                i
-                for i, col in enumerate(header)
-                if col.startswith("diag_") and col.endswith("_after")
-            ]
-            if header[:1] != ["step"] or not after:
-                raise SamplingError(
-                    f"{path}: not a removal log or evolution file"
-                )
-            labels = tuple(header[i][len("diag_"):-len("_after")] for i in after)
-            columns = after
-        width = columns[-1] + 1
+            first, suffix = 1, ""
+            ok = header[:1] == ["step"] and len(header) > 1
+        names = header[first:]
+        if not ok or not all(
+            name.startswith("diag_") and name.endswith(suffix) for name in names
+        ):
+            raise SamplingError(f"{path}: not a removal log or evolution file")
+        labels = tuple(name[len("diag_"):len(name) - len(suffix)] for name in names)
+        width = len(header)
         series = []
         for lineno, row in records:
             if len(row) < width:
@@ -532,7 +521,7 @@ def read_diag_series(path):
                 step = int(row[0])
                 if step == 0:
                     continue
-                series.append((step, tuple(float(row[i]) for i in columns)))
+                series.append((step, tuple(map(float, row[first:width]))))
             except ValueError as exc:
                 raise SamplingError(f"{path}: line {lineno}: {exc}") from None
     return labels, series

@@ -145,13 +145,17 @@ def _broadcast(value, d, name):
 
 def generate(config):
     """Build a manifest from the config; a pure function of its fields."""
-    d = config.groups.d
     if all(c == 0 for c in config.identities_per_group):
         raise SynthError("all groups empty; nothing to generate")
+    return Manifest.from_images(config.groups, _images(config))
 
+
+def _images(config):
+    """The manifest's image records, generated one at a time in draw order,
+    so no list of records is ever held."""
+    d = config.groups.d
     rng = SplitMix64(config.seed)
     lo, hi = config.images_per_identity
-    images = []
     for g, label in enumerate(config.groups.labels):
         kappa = config.concentration[g]
         w = kappa / (kappa + 1.0)
@@ -166,15 +170,12 @@ def generate(config):
                 peak = other if other < g else other + 1
             count = lo + rng.next_below(hi - lo + 1)
             for m in range(count):
-                images.append(
-                    ImageRecord(
-                        image_id=f"{identity_id}_{m:03d}",
-                        identity_id=identity_id,
-                        group=g,
-                        scores=_score_vector(rng, d, peak, inv_kappa, lam),
-                    )
+                yield ImageRecord(
+                    image_id=f"{identity_id}_{m:03d}",
+                    identity_id=identity_id,
+                    group=g,
+                    scores=_score_vector(rng, d, peak, inv_kappa, lam),
                 )
-    return Manifest.from_images(config.groups, images)
 
 
 def _score_vector(rng, d, peak, inv_kappa, lam):

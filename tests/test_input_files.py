@@ -1,7 +1,9 @@
 """The layout rule behind the shared input CSV reader, and the exit-code
-contract under mutated input files: a malformed manifest, pairs file, runs
-file, removal log, evolution file, external-score file or synth config ends
-in exit 0 or 1 with at most one ``error:`` line, never in a traceback.
+contract under mutated input files and odd flag values: a malformed
+manifest, pairs file, runs file, removal log, evolution file, external-score
+file or synth config ends in exit 0 or 1 with at most one ``error:`` line,
+and a NaN, infinite, negative, reversed, zero or empty flag value in exit 0,
+1 or 2; never in a traceback.
 """
 
 import io
@@ -145,3 +147,98 @@ def test_mutated_input_exits_zero_or_one(valid_inputs, kind, steps):
     if code == 1:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+# odd flag values; counts stay tiny, so no draw can allocate much
+ODD_FLOATS = ("nan", "inf", "-inf", "-1", "-0.5", "0", "-0", "1e-300", "0.5",
+              "1", "1.5", "1e300", "x", "")
+small_ints = st.integers(-3, 12).map(str)
+odd_float = st.sampled_from(ODD_FLOATS)
+odd_list = st.lists(st.one_of(small_ints, odd_float), max_size=4).map(",".join)
+label_list = st.sampled_from(("a,b", "a", "a,a", "b,a", "a,b,c", ",", ""))
+
+
+def flag(name, values):
+    """``--name=value``, so that a value like ``-inf`` is not read as a
+    flag."""
+    return values.map(lambda v: [f"--{name}={v}"])
+
+
+def maybe(name, values):
+    """``flag``, or no flag at all."""
+    return st.one_of(st.just([]), flag(name, values))
+
+
+def argv_of(*parts):
+    return st.tuples(*parts).map(lambda lists: [a for part in lists for a in part])
+
+
+FLAG_COMMANDS = {
+    "synth": argv_of(
+        st.just(["synth", "--out={out}"]),
+        flag("seed", st.one_of(small_ints, st.sampled_from(("x", "2e3", str(2**70))))),
+        maybe("groups", label_list),
+        maybe("identities-per-group", st.lists(st.integers(-1, 3).map(str),
+                                               max_size=4).map(",".join)),
+        maybe("images-per-identity", st.lists(st.integers(-1, 3).map(str),
+                                              max_size=3).map(",".join)),
+        maybe("concentration", odd_list),
+        maybe("label-noise", odd_float),
+    ),
+    "sample": argv_of(
+        st.just(["sample", "{manifest}", "--out={out}"]),
+        flag("protocol", st.sampled_from(("A", "B", "C", "random"))),
+        st.one_of(flag("remove", small_ints), flag("target-size", small_ints),
+                  flag("remove", odd_float)),
+        maybe("seed", st.one_of(small_ints, odd_float)),
+        st.lists(st.sampled_from(("--relabel-first", "--naive")), max_size=2),
+        maybe("log", st.just("{log_out}")),
+        maybe("evolution", st.just("{evolution_out}")),
+    ),
+    "single": argv_of(
+        st.just(["single", "{manifest}", "--out={out}"]),
+        flag("group", st.sampled_from(("a", "b", "zz", ""))),
+        flag("strategy", st.sampled_from(("min", "max", "rand"))),
+        flag("keep-fraction", st.one_of(odd_float, small_ints)),
+        maybe("seed", st.one_of(small_ints, odd_float)),
+        maybe("log", st.just("{log_out}")),
+    ),
+    "equilibrium": argv_of(
+        st.just(["equilibrium"]),
+        flag("trace", st.sampled_from(("{log}", "{evolution}", "{manifest}"))),
+        flag("epsilon", odd_float),
+    ),
+    "metrics": argv_of(
+        st.just(["metrics"]),
+        flag("accuracies", odd_list),
+        maybe("group-labels", label_list),
+        maybe("out", st.just("{out}")),
+    ),
+}
+
+
+def run_flags(argv):
+    """``run_quietly``, with argparse's own exit (code 2) caught too."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", FLAG_COMMANDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_odd_flag_values_exit_zero_one_or_two(valid_inputs, command, data):
+    out = valid_inputs["out"]
+    names = {
+        **valid_inputs,
+        "log_out": out.with_name("flags-log.csv"),
+        "evolution_out": out.with_name("flags-evolution.csv"),
+    }
+    argv = [arg.format(**names) for arg in data.draw(FLAG_COMMANDS[command])]
+    code, err = run_flags(argv)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err

@@ -532,6 +532,22 @@ class TestManifestModel:
             build_manifest(("a", "b"), [("i1", "x", 0, (None, 1.0))])
 
     @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ((7, "x", 0, (0.5, 0.5)), "image_id and identity_id must be strings"),
+            (("i1", b"x", 0, (0.5, 0.5)), "image_id and identity_id must be strings"),
+            (("i1", "x", 1.0, (0.5, 0.5)), "group must be an integer index, got 1.0"),
+            (("i1", "x", True, (0.5, 0.5)), "group must be an integer index, got True"),
+            (("i1", "x", 0, None), "scores must be a sequence, got None"),
+        ],
+        ids=["int-id", "bytes-id", "float-group", "bool-group", "no-scores"],
+    )
+    def test_from_images_names_a_badly_typed_record(self, fields, problem):
+        with pytest.raises(ManifestError) as caught:
+            Manifest.from_images(GroupSet(("a", "b")), [ImageRecord(*fields)])
+        assert str(caught.value) == f"{fields[0]!r}: {problem}"
+
+    @pytest.mark.parametrize(
         "row",
         [
             ("i1", "x", 0, (1.5, 0.5)),

@@ -33,6 +33,17 @@ def event_tuples(trace):
     return [(e.step, e.identity_id, e.group) for e in trace.events]
 
 
+def hex_events(trace):
+    """A trace's events with every float as its ``hex()``: bitwise equality."""
+    return [
+        (
+            e.step, e.identity_id, e.group, e.own_group_ids.hex(),
+            [x.hex() for x in e.diag_before], [x.hex() for x in e.diag_after],
+        )
+        for e in trace.events
+    ]
+
+
 def assert_diag_replays(manifest, trace, protocol):
     current = manifest
     diag = compute_es(current, protocol).diag()
@@ -187,6 +198,33 @@ class TestGreedyRemoval:
         assert isinstance(partial, RemovalTrace)
         assert partial.events == []
         assert partial.final_manifest == m
+
+    def test_emptying_error_after_removals_matches_naive(self):
+        m = build_manifest(
+            ("a", "b", "c"),
+            [
+                ("i1", "lone", 0, (0.55, 0.25, 0.2)),
+                ("i2", "b1", 1, (0.2, 0.1, 0.7)),
+                ("i3", "b2", 1, (0.45, 0.15, 0.4)),
+                ("i4", "b3", 1, (0.1, 0.2, 0.7)),
+                ("i5", "b4", 1, (0.05, 0.25, 0.7)),
+                ("i6", "b5", 1, (0.1, 0.9, 0.0)),
+                ("i7", "b6", 1, (0.05, 0.9, 0.05)),
+                ("i8", "c1", 2, (0.05, 0.05, 0.9)),
+                ("i9", "c2", 2, (0.4, 0.3, 0.3)),
+                ("i10", "c3", 2, (0.5, 0.3, 0.2)),
+            ],
+        )
+        # b, c and b again sit below a's lone 0.55; step 4 would empty a
+        partials = []
+        for sampler in (sample_protocol, sample_naive):
+            with pytest.raises(SamplingError, match="^step 4: .* group 'a'") as caught:
+                sampler(m, Protocol.A, 6)
+            partials.append(caught.value.partial_trace)
+        fast, naive = partials
+        assert hex_events(fast) == hex_events(naive)
+        assert fast.removed_ids() == ["b1", "c3", "b2"]
+        assert fast.final_manifest == m.remove_identities(["b1", "c3", "b2"])
 
     def test_greedy_prefix_property(self, small_corpus):
         for m in small_corpus[:8]:
@@ -503,6 +541,48 @@ class TestTraceFiles:
         assert labels == ("g1", "g2")
         assert series[0][0] == 1
         assert len(series) == 2
+
+    def test_log_and_evolution_agree_on_after_suffixed_labels(self, tmp_path):
+        """A group label ending in ``_after`` is still a label: the log and
+        the evolution file of one run read back the same."""
+        m = build_manifest(
+            ("x_after", "y"),
+            [
+                ("i1", "p", 0, (0.7, 0.3)),
+                ("i2", "q", 0, (0.9, 0.1)),
+                ("i3", "r", 1, (0.4, 0.6)),
+                ("i4", "s", 1, (0.2, 0.8)),
+            ],
+        )
+        _, trace = sample_protocol(m, Protocol.C, 2)
+        log, evolution = str(tmp_path / "log.csv"), str(tmp_path / "evo.csv")
+        write_removal_log(trace, log)
+        write_evolution(trace, evolution)
+        expected = (("x_after", "y"), [(e.step, e.diag_after) for e in trace.events])
+        assert read_diag_series(log) == expected
+        assert read_diag_series(evolution) == expected
+
+    def test_header_without_log_columns_is_an_evolution_file(self, tmp_path):
+        path = tmp_path / "evo.csv"
+        path.write_text("step,diag_a_after,diag_b_after\n0,0.5,0.5\n1,0.25,0.75\n")
+        assert read_diag_series(str(path)) == (
+            ("a_after", "b_after"), [(1, (0.25, 0.75))]
+        )
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "step,identity_id,group,own_group_ids",
+            "step,identity_id,group,own_group_ids,diag_a_before",
+            "step,identity_id,group,own_group_ids,diag_a_before,diag_a",
+            "step,diag_a,other",
+        ],
+    )
+    def test_rejects_headers_outside_the_rule(self, tmp_path, header):
+        path = tmp_path / "trace.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(SamplingError, match="not a removal log"):
+            read_diag_series(str(path))
 
     def test_equilibrium_from_file_matches_trace(self, two_groups, tmp_path):
         _, trace = sample_protocol(two_groups, Protocol.C, 2)
