@@ -4,27 +4,39 @@ warnings."""
 import csv
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
+
+# a temp file is new, owner-only (mode 0600), binary and never opened through
+# a symlink or inherited by a child process, as with tempfile.mkstemp
+_TEMP_FLAGS = (
+    os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
+    | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0)
+)
 
 
 @contextmanager
-def atomic_write(path):
-    """Write UTF-8 text with LF line ends to a temp file in the target
-    directory, then rename it into place.
+def atomic_write(path, binary=False):
+    """Write UTF-8 text with LF line ends, or bytes when ``binary``, to a
+    temp file in the target directory, then rename it into place.
 
     The rename is atomic on POSIX, so readers never observe a half-written
     file and a crash leaves the previous version intact. A temp file that
     cannot be created or renamed raises ``OSError("cannot write <path>:
     <reason>")``, naming ``path`` rather than the temp file.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    # 48 random bits name it. tempfile is not used: in a process that had
+    # loaded manifests, its first mkstemp left about 1 MB more resident
+    # memory behind (bench/run.py's own process, Python 3.11)
+    tmp = os.path.join(
+        os.path.dirname(os.path.abspath(path)), f".tmp.{os.urandom(6).hex()}~"
+    )
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
+        fd = os.open(tmp, _TEMP_FLAGS, 0o600)
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
+        with os.fdopen(fd, "wb" if binary else "w", **text) as handle:
             yield handle
         try:
             os.replace(tmp, path)

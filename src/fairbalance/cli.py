@@ -33,6 +33,7 @@ from .metrics import (
     runs_to_points,
     write_frontier_csv,
 )
+from .rng import SEEDS
 from .sampling import (
     equilibrium_step,
     read_diag_series,
@@ -74,6 +75,18 @@ def _groups_arg(value):
         return GroupSet(tuple(label for label in value.split(",") if label))
     except ManifestError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _seed_arg(value):
+    """A ``--seed`` value: an integer in [0, 2**64), which SplitMix64 takes
+    as its state; anything else is a usage error."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if seed not in SEEDS:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _load(args):
@@ -393,7 +406,7 @@ def build_parser():
     size.add_argument(
         "--target-size", type=int, help="identity count to end up with"
     )
-    p.add_argument("--seed", type=int, help="seed (random protocol only)")
+    p.add_argument("--seed", type=_seed_arg, help="seed (random protocol only)")
     p.add_argument(
         "--relabel-first",
         action="store_true",
@@ -413,7 +426,7 @@ def build_parser():
     p.add_argument("--group", required=True)
     p.add_argument("--strategy", required=True, choices=["min", "max", "rand"])
     p.add_argument("--keep-fraction", required=True, type=float)
-    p.add_argument("--seed", type=int, help="seed (rand strategy only)")
+    p.add_argument("--seed", type=_seed_arg, help="seed (rand strategy only)")
     p.add_argument("--log", help="write the removal log CSV here")
     p.add_argument("--out", required=True, help="subset manifest path")
 
@@ -447,7 +460,7 @@ def build_parser():
 
     p = command("synth", _cmd_synth, "generate a synthetic manifest")
     p.add_argument("--config", help="JSON config file (overrides the flags)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_arg)
     p.add_argument(
         "--groups", type=_groups_arg, default=None,
         help=f"default: {','.join(DEFAULT_GROUP_LABELS)}",

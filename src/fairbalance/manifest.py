@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, sub, truediv
+from operator import add, le, sub, truediv
 
 from ._util import read_csv, warn, write_csv
 from .errors import InternalInvariantError, ManifestError
@@ -268,7 +268,8 @@ class Manifest:
         """The row indices grouped by identity, in identity order and row
         order within an identity, and where each identity's rows start:
         identity j's rows are ``rows[starts[j]:starts[j + 1]]``. Built on
-        first use, by a stable sort of the row indices on their identity."""
+        first use, by a stable sort of the row indices on their identity,
+        which rows that never go back to an earlier identity skip."""
         if self._rows is None:
             row_identity = self._row_identity
             counts = Counter(row_identity)
@@ -279,7 +280,9 @@ class Manifest:
                     initial=0,
                 ),
             )
-            rows = sorted(range(len(row_identity)), key=row_identity.__getitem__)
+            rows = range(len(row_identity))
+            if not all(map(le, row_identity, islice(row_identity, 1, None))):
+                rows = sorted(rows, key=row_identity.__getitem__)
             self._rows = array("I", rows), starts
         return self._rows
 
@@ -468,8 +471,15 @@ def load_manifest(path, groups=None, permissive=False):
 
     Each row is checked, renormalized and added to the manifest's columns
     by ``_Columns.add``, the row check ``Manifest.from_images`` shares, in
-    the one pass that parses the rows.
+    the one pass that parses the rows. A load that rejects no row leaves a
+    sidecar that later loads of the same bytes read instead (``_sidecar``).
     """
+    from . import _sidecar
+
+    return _sidecar.load(_parse, path, groups, permissive)
+
+
+def _parse(path, groups, permissive):
     with read_csv(path, ManifestError) as (header, records):
         if header is None:
             raise ManifestError(f"{path}: empty file")
@@ -554,22 +564,19 @@ def summarize(manifest):
         own_by_group[g].append(own)
         image_counts[g] += count
 
-    per_group = {}
-    for i, label in enumerate(manifest.groups.labels):
-        values = own_by_group[i]
-        entry = {
-            "identities": manifest.group_counts[i],
-            "images": image_counts[i],
-        }
-        entry["own_score"] = _distribution(values)
-        per_group[label] = entry
-
     return {
         "groups": list(manifest.groups.labels),
         "identities": manifest.identity_count,
         "images": len(manifest.images),
         "rejected_rows": manifest.rejected_rows,
-        "per_group": per_group,
+        "per_group": {
+            label: {
+                "identities": manifest.group_counts[i],
+                "images": image_counts[i],
+                "own_score": _distribution(own_by_group[i]),
+            }
+            for i, label in enumerate(manifest.groups.labels)
+        },
     }
 
 

@@ -22,6 +22,8 @@ Derived draws, in terms of the raw 64-bit outputs:
 """
 
 _MASK = (1 << 64) - 1
+# every seed: the generator's initial state, a 64-bit integer
+SEEDS = range(1 << 64)
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -29,10 +31,14 @@ _MIX2 = 0x94D049BB133111EB
 
 class SplitMix64:
     """Deterministic 64-bit generator; the full algorithm is in the module
-    docstring."""
+    docstring. The seed is the initial state, an integer in [0, 2^64); one
+    outside that range raises ``ValueError`` instead of being reduced."""
 
     def __init__(self, seed):
-        self._state = int(seed) & _MASK
+        seed = int(seed)
+        if seed not in SEEDS:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self._state = seed
 
     def next_u64(self):
         self._state = (self._state + _GAMMA) & _MASK

@@ -165,17 +165,20 @@ def score_scatter(manifest, external_scores):
     ``external_scores`` maps image ids to floats. Images without an external
     value are skipped and counted; an empty intersection is an error.
     """
+    labels, d = manifest.groups.labels, manifest.groups.d
     rows = []
-    per_group = [[] for _ in manifest.groups.labels]
+    per_group = [[] for _ in labels]
     skipped = 0
-    for img in manifest.images:
-        if img.image_id not in external_scores:
+    # each row's group is its identity's; its own score is column g of its scores
+    row_groups = map(manifest._identity_groups.__getitem__, manifest._row_identity)
+    for r, (image_id, g) in enumerate(zip(manifest._image_ids, row_groups)):
+        if image_id not in external_scores:
             skipped += 1
             continue
-        ext = float(external_scores[img.image_id])
-        own = img.scores[img.group]
-        rows.append((img.image_id, manifest.groups.labels[img.group], own, ext))
-        per_group[img.group].append((own, ext))
+        ext = float(external_scores[image_id])
+        own = manifest._scores[r * d + g]
+        rows.append((image_id, labels[g], own, ext))
+        per_group[g].append((own, ext))
     if not rows:
         raise ScoringError("no overlap between manifest and external scores")
     import statistics

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import SynthError
 from .manifest import GroupSet, ImageRecord, Manifest
-from .rng import SplitMix64
+from .rng import SEEDS, SplitMix64
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ class SynthConfig:
     label_noise: float = 0.0
 
     def __post_init__(self):
-        if not _is_int(self.seed):
-            raise SynthError("seed must be an integer")
+        if not _is_int(self.seed) or self.seed not in SEEDS:
+            raise SynthError("seed must be an integer in [0, 2**64)")
         d = self.groups.d
         counts = _broadcast(self.identities_per_group, d, "identities_per_group")
         if any(not _is_int(c) or c < 0 for c in counts):

@@ -869,6 +869,13 @@ class TestSynthCommand:
             ('{"seed": true, "groups": ["a", "b"], "identities_per_group": 3, '
              '"images_per_identity": [1, 1], "concentration": 1}',
              "seed must be an integer"),
+            ('{"seed": -1, "groups": ["a", "b"], "identities_per_group": 3, '
+             '"images_per_identity": [1, 1], "concentration": 1}',
+             "seed must be an integer in [0, 2**64)"),
+            ('{"seed": 18446744073709551616, "groups": ["a", "b"], '
+             '"identities_per_group": 3, "images_per_identity": [1, 1], '
+             '"concentration": 1}',
+             "seed must be an integer in [0, 2**64)"),
             ('{"seed": 1, "groups": ["a", "b"], "identities_per_group": [3, true], '
              '"images_per_identity": [1, 1], "concentration": 1}',
              "identity counts must be non-negative integers"),
@@ -897,6 +904,41 @@ class TestSynthCommand:
         assert code == 1
         assert err.startswith("error:") and problem in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestSeedRange:
+    """A seed is a SplitMix64 state, an integer in [0, 2**64): a ``--seed``
+    flag outside that range is a usage error, never reduced modulo 2**64."""
+
+    SEEDED = {
+        "synth": ["synth", "--out", "{out}"],
+        "sample": ["sample", "{manifest}", "--protocol", "random", "--remove", "2",
+                   "--out", "{out}"],
+        "single": ["single", "{manifest}", "--group", "g1", "--strategy", "rand",
+                   "--keep-fraction", "0.5", "--out", "{out}"],
+    }
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64), str(1 << 70)])
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_out_of_range_seed_exits_two(
+        self, capsys, plain_manifest, tmp_path, command, seed
+    ):
+        out = tmp_path / "out.csv"
+        argv = [a.format(manifest=plain_manifest, out=out) for a in self.SEEDED[command]]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--seed={seed}"])
+        assert exc.value.code == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_range_ends_are_accepted(self, capsys, plain_manifest, tmp_path, command):
+        for seed in ("0", str((1 << 64) - 1)):
+            out = tmp_path / f"{seed}.csv"
+            argv = [a.format(manifest=plain_manifest, out=out)
+                    for a in self.SEEDED[command]]
+            code, _, err = run(capsys, *argv, f"--seed={seed}")
+            assert code == 0, err
 
 
 class TestDuplicateGroupFlags:
@@ -1017,7 +1059,20 @@ class TestLogging:
         result = self.run_python(
             "-c",
             "import sys, fairbalance.cli; "
-            "print(sorted({'logging', 'statistics'} & set(sys.modules)))",
+            "print(sorted({'logging', 'statistics', 'fairbalance._sidecar', "
+            "'hashlib'} & set(sys.modules)))",
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_loads_through_the_sidecar_never_import_hashlib(self, plain_manifest):
+        # the first load writes the sidecar, the second reads it
+        result = self.run_python(
+            "-c",
+            "import sys; from fairbalance.cli import main; "
+            f"main(['validate', {str(plain_manifest)!r}]); "
+            f"main(['validate', {str(plain_manifest)!r}]); "
+            "print(sorted({'fairbalance._sidecar', 'hashlib'} & set(sys.modules)))",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "['fairbalance._sidecar']"

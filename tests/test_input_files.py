@@ -156,6 +156,7 @@ small_ints = st.integers(-3, 12).map(str)
 odd_float = st.sampled_from(ODD_FLOATS)
 odd_list = st.lists(st.one_of(small_ints, odd_float), max_size=4).map(",".join)
 label_list = st.sampled_from(("a,b", "a", "a,a", "b,a", "a,b,c", ",", ""))
+protocols = st.sampled_from(("A", "B", "C", "random", "a", ""))
 
 
 def flag(name, values):
@@ -212,6 +213,33 @@ FLAG_COMMANDS = {
         st.just(["metrics"]),
         flag("accuracies", odd_list),
         maybe("group-labels", label_list),
+        maybe("out", st.just("{out}")),
+    ),
+    "ids": argv_of(
+        st.just(["ids", "{manifest}", "--out={out}"]),
+        flag("protocol", protocols),
+        maybe("groups", label_list),
+    ),
+    "es": argv_of(
+        st.just(["es", "{manifest}"]),
+        flag("protocol", protocols),
+        maybe("format", st.sampled_from(("csv", "json", "tsv", ""))),
+        maybe("groups", label_list),
+        maybe("out", st.just("{out}")),
+    ),
+    "relabel": argv_of(
+        st.just(["relabel", "{manifest}", "--out={out}"]),
+        maybe("groups", label_list),
+    ),
+    "scatter": argv_of(
+        st.just(["scatter", "{manifest}", "--out={out}"]),
+        flag("external", st.sampled_from(("{external}", "{manifest}", "{out}"))),
+        maybe("groups", label_list),
+    ),
+    "pareto": argv_of(
+        st.just(["pareto"]),
+        flag("runs", st.sampled_from(("{runs}", "{manifest}", "{pairs}"))),
+        flag("bias", st.sampled_from(("std", "ser", "mean", ""))),
         maybe("out", st.just("{out}")),
     ),
 }

@@ -1,8 +1,17 @@
 """Manifest loading, validation, serialization and summaries."""
 
+import errno
 import hashlib
+import json
 import math
+import os
+import threading
 import tracemalloc
+from array import array
+from collections import Counter
+from contextlib import contextmanager
+from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +32,8 @@ from fairbalance import (
     summarize,
     write_manifest,
 )
+from fairbalance import _sidecar
+from fairbalance import manifest as manifest_module
 from fairbalance.cli import main
 
 from _oracles import load_manifest_oracle, write_manifest_oracle
@@ -346,6 +357,303 @@ class TestColumnarLoad:
         n = len(manifest.images)
         assert (retained - base) / n < 160, f"{(retained - base) / n:.1f} B/image retained"
         assert (peak - base) / n < 300, f"{(peak - base) / n:.1f} B/image peak"
+
+
+def sidecar_of(path):
+    """Where ``load_manifest`` keeps the sidecar of the CSV ``path``."""
+    return path.with_name(f".{path.name}.fbcache")
+
+
+def column_bits(m):
+    """Every column of a manifest, arrays by their bytes and scores by
+    ``.hex()``, with its identity order, counts and groups."""
+    return (
+        m.groups.labels,
+        list(m._image_ids),
+        list(m._identity_ids),
+        (m._row_identity.typecode, m._row_identity.tobytes().hex()),
+        (m._identity_groups.typecode, m._identity_groups.tobytes().hex()),
+        (m._scores.typecode, [s.hex() for s in m._scores]),
+        list(m.identities),
+        m.group_counts,
+        m.rejected_rows,
+    )
+
+
+@contextmanager
+def csv_path_forbidden():
+    """Fail the test if a load parses the CSV instead of reading its sidecar."""
+
+    def parse(*_args):
+        raise AssertionError("parsed the CSV despite a sidecar")
+
+    with mock.patch("fairbalance.manifest._parse", parse):
+        yield
+
+
+@contextmanager
+def csv_parses_counted():
+    """Count the loads that parse the CSV: yields a one-element list."""
+    count = [0]
+    real = manifest_module._parse
+
+    def parse(*args):
+        count[0] += 1
+        return real(*args)
+
+    with mock.patch("fairbalance.manifest._parse", parse):
+        yield count
+
+
+SMALL = (
+    "image_id,identity_id,group,score_a,score_b\n"
+    "img1,x,a,0.75,0.25\n"
+    "img2,y,b,0.125,0.875\n"
+    "img3,x,a,0.5,0.5\n"
+)
+
+
+class TestSidecar:
+    """A clean load leaves a binary copy of the manifest's columns beside the
+    CSV, and a later load of the same bytes reads it instead of parsing.
+    Anything the sidecar cannot vouch for is a miss that takes the CSV path,
+    so results, errors and exit codes never depend on it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(oracle_row, min_size=1, max_size=25),
+        bom=st.booleans(),
+        crlf=st.booleans(),
+    )
+    def test_hit_equals_the_csv_load(self, tmp_path_factory, rows, bom, crlf):
+        lines = [HEADER4]
+        for n, (ident, weights, factor, _twist) in enumerate(rows):
+            total = math.fsum(weights)
+            scores = [w / total * factor for w in weights]
+            # one group per identity, so that the load is clean
+            group = DEFAULT_GROUPS.labels[ident % 4]
+            lines.append(f"img{n},id{ident},{group}," + ",".join(map(repr, scores)))
+        newline = "\r\n" if crlf else "\n"
+        path = tmp_path_factory.mktemp("sidecar") / "m.csv"
+        path.write_text(
+            ("\ufeff" if bom else "") + newline.join(lines) + newline,
+            encoding="utf-8",
+            newline="",
+        )
+        parsed = load_manifest(path)
+        assert sidecar_of(path).is_file()
+        with csv_path_forbidden():
+            hit = load_manifest(path)
+            named = load_manifest(path, groups=DEFAULT_GROUPS, permissive=True)
+        assert column_bits(hit) == column_bits(parsed) == column_bits(named)
+        assert hit == parsed and hit.identities == parsed.identities
+
+    def test_one_byte_edit_of_the_same_size_is_a_miss(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(SMALL, encoding="utf-8")
+        load_manifest(path)
+        path.write_text(SMALL.replace("img2", "imh2"), encoding="utf-8")
+        with csv_parses_counted() as parses:
+            edited = load_manifest(path)
+        assert parses == [1]
+        assert list(edited._image_ids) == ["img1", "imh2", "img3"]
+        with csv_path_forbidden():
+            assert load_manifest(path) == edited
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "garbage", "other-csv", "flipped", "row-index", "group-index"],
+    )
+    def test_damaged_sidecar_is_ignored_then_rewritten(self, tmp_path, damage):
+        path = tmp_path / "m.csv"
+        path.write_text(SMALL, encoding="utf-8")
+        loaded = load_manifest(path)
+        expected = column_bits(loaded)
+        good = sidecar_of(path).read_bytes()
+        if damage in ("row-index", "group-index"):
+            # a well-formed sidecar, checksum and all, whose indices point
+            # past the identities or the groups
+            columns = {
+                "image_ids": loaded._image_ids,
+                "row_identity": loaded._row_identity,
+                "scores": loaded._scores,
+                "identity_ids": loaded._identity_ids,
+                "identity_groups": loaded._identity_groups,
+            }
+            if damage == "row-index":
+                columns["row_identity"] = array("I", [0, 1, 2])
+            else:
+                columns["identity_groups"] = array("I", [0, 2])
+            bad = Manifest._of_columns(loaded.groups, **columns)
+            _sidecar._store(path, _sidecar._key(path), bad)
+            assert sidecar_of(path).read_bytes() != good
+        elif damage == "truncated":
+            sidecar_of(path).write_bytes(good[: len(good) // 2])
+        elif damage == "garbage":
+            sidecar_of(path).write_bytes(b"\x00garbage\n" * 40)
+        elif damage == "other-csv":
+            other = tmp_path / "other.csv"
+            other.write_text(SMALL.replace("0.75,0.25", "0.625,0.375"), encoding="utf-8")
+            load_manifest(other)
+            sidecar_of(other).replace(sidecar_of(path))
+        else:
+            # one bit of a score (the ids and the checksum take the last 23
+            # bytes), with the header and every length intact
+            flipped = bytearray(good)
+            flipped[-30] ^= 0x01
+            sidecar_of(path).write_bytes(bytes(flipped))
+        with csv_parses_counted() as parses:
+            assert column_bits(load_manifest(path)) == expected
+        assert parses == [1]
+        assert sidecar_of(path).read_bytes() == good
+
+    def test_stale_loader_or_foreign_owner_is_a_miss(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(SMALL, encoding="utf-8")
+        load_manifest(path)
+        with csv_parses_counted() as parses:
+            with mock.patch.object(_sidecar, "_code_crc", _sidecar._code_crc ^ 1):
+                load_manifest(path)
+            # the sidecar now holds the other loader's key
+            load_manifest(path)
+            load_manifest(path)
+            assert parses == [2]
+            with mock.patch.object(_sidecar.os, "geteuid", lambda: os.getuid() + 1):
+                load_manifest(path)
+            load_manifest(path)
+        assert parses == [3]
+
+    def test_unwritable_directory_loads_normally(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(SMALL, encoding="utf-8")
+
+        def refuse(*_args, **_kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        # what a read-only directory gives atomic_write, also for root
+        with mock.patch("fairbalance._util.os.open", refuse):
+            first = load_manifest(path)
+        assert not sidecar_of(path).exists()
+        sidecar_of(path).mkdir()
+        second = load_manifest(path)
+        assert column_bits(first) == column_bits(second)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".m.csv.fbcache", "m.csv"]
+
+    def test_groups_mismatch_keeps_the_csv_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(SMALL, encoding="utf-8")
+        swapped = GroupSet(("b", "a"))
+        with pytest.raises(ManifestError) as without:
+            load_manifest(path, groups=swapped)
+        load_manifest(path)
+        assert sidecar_of(path).is_file()
+        with pytest.raises(ManifestError) as with_sidecar:
+            load_manifest(path, groups=swapped)
+        assert str(with_sidecar.value) == str(without.value)
+        assert "do not match" in str(without.value)
+
+    def test_only_a_clean_load_writes_one(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(SMALL + "img4,z,a,0.9,0.9\n", encoding="utf-8")
+        assert main(["validate", "--permissive", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["rejected_rows"] == 1
+        assert main(["validate", str(path)]) == 1
+        duplicate = tmp_path / "d.csv"
+        duplicate.write_text(SMALL + "img1,z,a,0.5,0.5\n", encoding="utf-8")
+        assert main(["validate", str(duplicate)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.csv"]
+
+    def test_csv_changed_during_the_parse_gets_none(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(SMALL, encoding="utf-8")
+        real = manifest_module._parse
+
+        def parse_then_edit(*args):
+            manifest = real(*args)
+            path.write_text(SMALL.replace("img3", "img4"), encoding="utf-8")
+            return manifest
+
+        with mock.patch("fairbalance.manifest._parse", parse_then_edit):
+            load_manifest(path)
+        assert not sidecar_of(path).exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_read_once_and_gets_none(self, tmp_path):
+        fifo = tmp_path / "m.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(SMALL,))
+        writer.start()
+        # an open only to take a key could make the pipe drop its data
+        with mock.patch("builtins.open", wraps=open) as opened:
+            try:
+                from_pipe = load_manifest(fifo)
+            finally:
+                writer.join()
+        assert [c for c in opened.call_args_list if c.args[0] == fifo] == [
+            mock.call(fifo, encoding="utf-8-sig", newline="")
+        ]
+        plain = tmp_path / "plain.csv"
+        plain.write_text(SMALL, encoding="utf-8")
+        assert column_bits(from_pipe) == column_bits(load_manifest(plain))
+        assert not sidecar_of(fifo).exists()
+
+    def test_file_descriptor_is_read_once_and_gets_none(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(SMALL, encoding="utf-8")
+        from_fd = load_manifest(os.open(path, os.O_RDONLY))
+        assert not sidecar_of(path).exists()
+        assert column_bits(from_fd) == column_bits(load_manifest(path))
+
+    def test_load_memory_per_image_on_a_hit(self, tmp_path):
+        config = SynthConfig(
+            seed=11,
+            groups=DEFAULT_GROUPS,
+            identities_per_group=(500,),
+            images_per_identity=(1, 8),
+            concentration=(2.0, 4.0, 6.0, 8.0),
+            label_noise=0.05,
+        )
+        path = tmp_path / "m.csv"
+        write_manifest(generate(config), str(path))
+        load_manifest(path)
+        with csv_path_forbidden():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                manifest = load_manifest(str(path))
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        n = len(manifest.images)
+        assert (retained - base) / n < 160, f"{(retained - base) / n:.1f} B/image retained"
+        assert (peak - base) / n < 220, f"{(peak - base) / n:.1f} B/image peak"
+
+
+class TestRowsByIdentity:
+    """Rows that never go back to an earlier identity are their own index;
+    any other order takes a stable sort. Both give the sorted rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(identities=st.lists(st.integers(0, 6), min_size=1, max_size=30),
+           grouped=st.booleans())
+    def test_rows_and_starts_equal_a_stable_sort(self, identities, grouped):
+        if grouped:
+            identities.sort()
+        m = build_manifest(
+            ("a", "b"),
+            [(f"img{n}", f"id{k}", k % 2, (0.5, 0.5)) for n, k in enumerate(identities)],
+        )
+        row_identity = m._row_identity
+        if grouped:
+            assert list(row_identity) == sorted(row_identity)
+        rows, starts = m._rows_by_identity()
+        counts = Counter(row_identity)
+        assert rows.typecode == starts.typecode == "I"
+        assert list(rows) == sorted(range(len(row_identity)), key=row_identity.__getitem__)
+        assert list(starts) == list(
+            accumulate((counts[j] for j in range(m.identity_count)), initial=0)
+        )
 
 
 class TestLoadErrorPrecedence:

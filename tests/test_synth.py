@@ -51,10 +51,21 @@ class TestSplitMix64:
             0x883EBCE5A3F27C77,
         ]
 
-    def test_seed_is_masked_to_64_bits(self):
-        wide = SplitMix64((1 << 64) + 5)
-        narrow = SplitMix64(5)
-        assert wide.next_u64() == narrow.next_u64()
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5, -(1 << 70)])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            SplitMix64(seed)
+
+    def test_largest_seed_is_its_own_state(self):
+        mask = (1 << 64) - 1
+
+        def output(state):
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        # the first step adds the gamma and wraps at 2**64
+        assert SplitMix64(mask).next_u64() == output((mask + 0x9E3779B97F4A7C15) & mask)
 
     def test_next_float_open_interval(self):
         rng = SplitMix64(99)
@@ -132,6 +143,12 @@ class TestSynthConfig:
             config(identities_per_group=(1, 2, 3))
         with pytest.raises(SynthError, match="concentration"):
             config(concentration=(1.0, 2.0))
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(SynthError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            config(seed=seed)
+        assert config(seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
     def test_negative_or_fractional_counts_rejected(self):
         with pytest.raises(SynthError, match="non-negative integers"):
