@@ -35,7 +35,7 @@ from ._util import atomic_write
 from .errors import DataError
 from .manifest import GroupSet, Manifest
 
-# bytes read per step while taking a key
+# bytes read per step while taking a key or reading the ids
 _READ_CHUNK = 1 << 16
 # ids joined and encoded per write
 _ID_CHUNK = 2048
@@ -58,15 +58,15 @@ def load(parse, path, groups, permissive):
         if manifest is not None:
             return manifest
     manifest = parse(path, groups, permissive)
-    # a CSV that changed while it was parsed gets no sidecar
-    if key is not None and manifest.rejected_rows == 0 and _key(path) == key:
+    if key is not None and manifest.rejected_rows == 0:
         _store(path, key, manifest)
     return manifest
 
 
 def _store(path, key, manifest):
     """Write the sidecar of ``manifest``, the load of ``path`` under
-    ``key``, unless no file can be written beside it."""
+    ``key``, unless no file can be written beside it or ``path`` no longer
+    has that key."""
     head = {
         "key": key,
         "labels": manifest.groups.labels,
@@ -75,6 +75,11 @@ def _store(path, key, manifest):
     }
     try:
         with atomic_write(_sidecar_path(path), binary=True) as handle:
+            # a CSV that changed while it was parsed gets no sidecar; taken
+            # once the temp file exists, so a directory that cannot be
+            # written costs one key pass, not two
+            if _key(path) != key:
+                raise OSError(f"{path} changed while it was loaded")
             data = json.dumps(head).encode() + b"\n"
             handle.write(data)
             crc = zlib.crc32(data)
@@ -152,21 +157,32 @@ def _read(sidecar, key, groups):
         row_identity.fromfile(handle, n)
         identity_groups.fromfile(handle, m)
         scores.fromfile(handle, n * d)
-        data = handle.read(id_bytes)
         crc = zlib.crc32(line)
-        for column in (row_identity, identity_groups, scores, data):
+        for column in (row_identity, identity_groups, scores):
             crc = zlib.crc32(column, crc)
-        if handle.read() != crc.to_bytes(4, "big"):
+        # the ids are checked, decoded and split a chunk at a time: the
+        # whole block is never held as bytes or as one str
+        ids, pending = [], bytearray()
+        while id_bytes > 0:
+            data = handle.read(min(id_bytes, _READ_CHUNK))
+            if not data:
+                return None
+            id_bytes -= len(data)
+            crc = zlib.crc32(data, crc)
+            pending += data
+            end = pending.rfind(b"\n")
+            if end >= 0:
+                ids += pending[:end].decode().split("\n")
+                del pending[:end + 1]
+        if pending or handle.read() != crc.to_bytes(4, "big"):
             return None
-    ids = data.decode().split("\n")
-    del data
     if (
-        len(ids) != n + m + 1
+        len(ids) != n + m
         or max(row_identity) >= m
         or max(identity_groups) >= d
     ):
         return None
-    identity_ids = ids[n:-1]
+    identity_ids = ids[n:]
     del ids[n:]
     return Manifest._of_columns(
         GroupSet(labels) if groups is None else groups,

@@ -4,14 +4,8 @@ warnings."""
 import csv
 import os
 import sys
+import tempfile
 from contextlib import contextmanager
-
-# a temp file is new, owner-only (mode 0600), binary and never opened through
-# a symlink or inherited by a child process, as with tempfile.mkstemp
-_TEMP_FLAGS = (
-    os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
-    | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0)
-)
 
 
 @contextmanager
@@ -24,14 +18,9 @@ def atomic_write(path, binary=False):
     cannot be created or renamed raises ``OSError("cannot write <path>:
     <reason>")``, naming ``path`` rather than the temp file.
     """
-    # 48 random bits name it. tempfile is not used: in a process that had
-    # loaded manifests, its first mkstemp left about 1 MB more resident
-    # memory behind (bench/run.py's own process, Python 3.11)
-    tmp = os.path.join(
-        os.path.dirname(os.path.abspath(path)), f".tmp.{os.urandom(6).hex()}~"
-    )
+    directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd = os.open(tmp, _TEMP_FLAGS, 0o600)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
     try:

@@ -268,8 +268,7 @@ class Manifest:
         """The row indices grouped by identity, in identity order and row
         order within an identity, and where each identity's rows start:
         identity j's rows are ``rows[starts[j]:starts[j + 1]]``. Built on
-        first use, by a stable sort of the row indices on their identity,
-        which rows that never go back to an earlier identity skip."""
+        first use, by a stable sort of the row indices on their identity."""
         if self._rows is None:
             row_identity = self._row_identity
             counts = Counter(row_identity)
@@ -280,6 +279,7 @@ class Manifest:
                     initial=0,
                 ),
             )
+            # rows in identity order need no sort
             rows = range(len(row_identity))
             if not all(map(le, row_identity, islice(row_identity, 1, None))):
                 rows = sorted(rows, key=row_identity.__getitem__)
@@ -471,9 +471,9 @@ def load_manifest(path, groups=None, permissive=False):
 
     Each row is checked, renormalized and added to the manifest's columns
     by ``_Columns.add``, the row check ``Manifest.from_images`` shares, in
-    the one pass that parses the rows. A load that rejects no row leaves a
-    sidecar that later loads of the same bytes read instead (``_sidecar``).
+    the one pass that parses the rows.
     """
+    # a clean load leaves a sidecar that later loads read instead
     from . import _sidecar
 
     return _sidecar.load(_parse, path, groups, permissive)
@@ -564,19 +564,22 @@ def summarize(manifest):
         own_by_group[g].append(own)
         image_counts[g] += count
 
+    per_group = {}
+    for i, label in enumerate(manifest.groups.labels):
+        values = own_by_group[i]
+        entry = {
+            "identities": manifest.group_counts[i],
+            "images": image_counts[i],
+        }
+        entry["own_score"] = _distribution(values)
+        per_group[label] = entry
+
     return {
         "groups": list(manifest.groups.labels),
         "identities": manifest.identity_count,
         "images": len(manifest.images),
         "rejected_rows": manifest.rejected_rows,
-        "per_group": {
-            label: {
-                "identities": manifest.group_counts[i],
-                "images": image_counts[i],
-                "own_score": _distribution(own_by_group[i]),
-            }
-            for i, label in enumerate(manifest.groups.labels)
-        },
+        "per_group": per_group,
     }
 
 

@@ -530,10 +530,15 @@ class TestSidecar:
         def refuse(*_args, **_kwargs):
             raise PermissionError(errno.EACCES, "Permission denied")
 
+        keys = mock.Mock(side_effect=_sidecar._key)
         # what a read-only directory gives atomic_write, also for root
-        with mock.patch("fairbalance._util.os.open", refuse):
+        with mock.patch("fairbalance._util.os.open", refuse), mock.patch.object(
+            _sidecar, "_key", keys
+        ):
             first = load_manifest(path)
         assert not sidecar_of(path).exists()
+        # the key is checked again only once a temp file exists
+        assert keys.call_count == 1
         sidecar_of(path).mkdir()
         second = load_manifest(path)
         assert column_bits(first) == column_bits(second)
@@ -575,7 +580,7 @@ class TestSidecar:
 
         with mock.patch("fairbalance.manifest._parse", parse_then_edit):
             load_manifest(path)
-        assert not sidecar_of(path).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_is_read_once_and_gets_none(self, tmp_path):
@@ -627,7 +632,8 @@ class TestSidecar:
                 tracemalloc.stop()
         n = len(manifest.images)
         assert (retained - base) / n < 160, f"{(retained - base) / n:.1f} B/image retained"
-        assert (peak - base) / n < 220, f"{(peak - base) / n:.1f} B/image peak"
+        # the ids are read a chunk at a time, so the peak is what it keeps
+        assert (peak - base) / n < 160, f"{(peak - base) / n:.1f} B/image peak"
 
 
 class TestRowsByIdentity:
