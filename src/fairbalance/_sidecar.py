@@ -162,7 +162,7 @@ def _read(sidecar, key, groups):
             crc = zlib.crc32(column, crc)
         # the ids are checked, decoded and split a chunk at a time: the
         # whole block is never held as bytes or as one str
-        ids, pending = [], bytearray()
+        image_ids, identity_ids, pending = [], [], bytearray()
         while id_bytes > 0:
             data = handle.read(min(id_bytes, _READ_CHUNK))
             if not data:
@@ -172,19 +172,21 @@ def _read(sidecar, key, groups):
             pending += data
             end = pending.rfind(b"\n")
             if end >= 0:
-                ids += pending[:end].decode().split("\n")
+                ids = pending[:end].decode().split("\n")
                 del pending[:end + 1]
+                room = n - len(image_ids)
+                image_ids += ids[:room]
+                identity_ids += ids[room:]
         if pending or handle.read() != crc.to_bytes(4, "big"):
             return None
     if (
-        len(ids) != n + m
+        len(image_ids) != n
+        or len(identity_ids) != m
         or max(row_identity) >= m
         or max(identity_groups) >= d
     ):
         return None
-    identity_ids = ids[n:]
-    del ids[n:]
     return Manifest._of_columns(
         GroupSet(labels) if groups is None else groups,
-        ids, row_identity, scores, identity_ids, identity_groups,
+        image_ids, row_identity, scores, identity_ids, identity_groups,
     )
