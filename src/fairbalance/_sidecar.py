@@ -75,6 +75,9 @@ def _store(path, key, manifest):
     }
     try:
         with atomic_write(_sidecar_path(path), binary=True) as handle:
+            # only its owner may read this copy of the data, whatever the umask
+            if hasattr(os, "fchmod"):
+                os.fchmod(handle.fileno(), 0o600)
             # a CSV that changed while it was parsed gets no sidecar; taken
             # once the temp file exists, so a directory that cannot be
             # written costs one key pass, not two

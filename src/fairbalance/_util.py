@@ -14,7 +14,8 @@ def atomic_write(path, binary=False):
     temp file in the target directory, then rename it into place.
 
     The rename is atomic on POSIX, so readers never observe a half-written
-    file and a crash leaves the previous version intact. A temp file that
+    file and a crash leaves the previous version intact. The file gets the
+    mode a plain ``open`` would give it under the umask. A temp file that
     cannot be created or renamed raises ``OSError("cannot write <path>:
     <reason>")``, naming ``path`` rather than the temp file.
     """
@@ -26,6 +27,10 @@ def atomic_write(path, binary=False):
     try:
         text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
         with os.fdopen(fd, "wb" if binary else "w", **text) as handle:
+            # mkstemp makes the file 0600; the umask can only be read by setting it
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             yield handle
         try:
             os.replace(tmp, path)
@@ -55,16 +60,19 @@ def write_csv(path, header, rows):
 
 
 @contextmanager
-def read_csv(path, error):
-    """Open the input CSV ``path`` and yield ``(header, records)``.
+def read_csv(path, error, fixed, prefix=None, check_width=True):
+    """Open the input CSV ``path`` and yield ``(labels, records)``.
 
-    ``header`` is the first record, or None for an empty file. ``records``
-    streams the non-blank records after it as ``(line, row)`` pairs, where
-    ``line`` is the physical line the record starts on. The file is UTF-8
-    with an optional BOM. An unreadable path, a header with duplicate
-    columns, bytes that are not UTF-8 and a record the csv module cannot
-    parse raise ``error``, a DataError subclass, so no input file reaches a
-    traceback.
+    The header must start with the columns ``fixed``. With no ``prefix`` it
+    must be exactly those; otherwise every later column starts with
+    ``prefix``, and ``labels`` is the tuple of those columns without it.
+    ``records`` streams the non-blank records after the header as ``(line,
+    row)`` pairs, where ``line`` is the physical line the record starts on;
+    when ``check_width``, each has as many fields as the header. The file is
+    UTF-8 with an optional BOM. An unreadable path, an empty file, a header
+    with duplicate columns or outside the rule, bytes that are not UTF-8, a
+    record of the wrong width and a record the csv module cannot parse raise
+    ``error``, a DataError subclass, so no input file reaches a traceback.
     """
     try:
         handle = open(path, encoding="utf-8-sig", newline="")
@@ -78,15 +86,29 @@ def read_csv(path, error):
             nonlocal start
             for row in reader:
                 if row:
+                    if check_width and len(row) != width:
+                        raise error(
+                            f"{path}: line {start}: expected {width} "
+                            f"fields, got {len(row)}"
+                        )
                     yield start, row
                 start = reader.line_num + 1
 
         try:
             header = next(reader, None)
             start = reader.line_num + 1
-            if header is not None and len(header) != len(set(header)):
+            if header is None:
+                raise error(f"{path}: empty file")
+            if len(header) != len(set(header)):
                 raise error(f"{path}: duplicate columns in header")
-            yield header, records()
+            width, n = len(header), len(fixed)
+            if header[:n] != list(fixed) or (prefix is None and width > n):
+                rule = "expected header" if prefix is None else "header must start with"
+                raise error(f"{path}: {rule} {','.join(fixed)}")
+            for name in header[n:]:
+                if not name.startswith(prefix):
+                    raise error(f"{path}: unexpected column {name!r}")
+            yield tuple(name[len(prefix):] for name in header[n:]), records()
         except UnicodeDecodeError:
             raise error(f"{path}: not a UTF-8 text file") from None
         except csv.Error as exc:

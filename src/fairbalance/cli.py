@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from operator import ne
 
 from . import __version__
@@ -248,16 +249,7 @@ def _cmd_pareto(args):
         {
             "points": len(real_points),
             "skipped": skipped,
-            "frontier": [
-                {
-                    "run_id": p.run_id,
-                    "strategy": p.strategy,
-                    "size": p.size,
-                    "error": p.error,
-                    "bias": p.bias,
-                }
-                for p in frontier
-            ],
+            "frontier": [asdict(p) for p in frontier],
         }
     )
     return 0
@@ -266,12 +258,8 @@ def _cmd_pareto(args):
 def _cmd_scatter(args):
     manifest = _load(args)
     external = {}
-    with read_csv(args.external, DataError) as (header, records):
-        if header != ["image_id", "score"]:
-            raise DataError(f"{args.external}: expected header image_id,score")
+    with read_csv(args.external, DataError, ("image_id", "score")) as (_, records):
         for lineno, row in records:
-            if len(row) != 2:
-                raise DataError(f"{args.external}: line {lineno}: malformed row")
             try:
                 score = float(row[1])
             except ValueError:

@@ -480,10 +480,10 @@ def load_manifest(path, groups=None, permissive=False):
 
 
 def _parse(path, groups, permissive):
-    with read_csv(path, ManifestError) as (header, records):
-        if header is None:
-            raise ManifestError(f"{path}: empty file")
-        groups = _check_header(path, header, groups)
+    with read_csv(
+        path, ManifestError, _FIXED_COLUMNS, "score_", check_width=False
+    ) as (labels, records):
+        groups = _check_groups(path, labels, groups)
         width = 3 + groups.d
         columns = _Columns(groups)
         problems = []
@@ -506,26 +506,16 @@ def _parse(path, groups, permissive):
     return columns.manifest(rejected_rows=len(problems))
 
 
-def _check_header(path, header, groups):
-    if tuple(header[:3]) != _FIXED_COLUMNS:
-        raise ManifestError(
-            f"{path}: header must start with {','.join(_FIXED_COLUMNS)}"
-        )
-    score_cols = header[3:]
-    for col in score_cols:
-        if not col.startswith("score_"):
-            raise ManifestError(f"{path}: unexpected column {col!r}")
+def _check_groups(path, labels, groups):
     if groups is None:
-        labels = tuple(col[len("score_"):] for col in score_cols)
         try:
             return GroupSet(labels)
         except ManifestError as exc:
             raise ManifestError(f"{path}: bad score columns: {exc}") from None
-    expected = groups.score_columns()
-    if score_cols != expected:
+    if labels != groups.labels:
         raise ManifestError(
-            f"{path}: score columns {score_cols!r} do not match "
-            f"expected {expected!r}"
+            f"{path}: score columns {[f'score_{label}' for label in labels]!r} "
+            f"do not match expected {groups.score_columns()!r}"
         )
     return groups
 

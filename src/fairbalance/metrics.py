@@ -294,20 +294,14 @@ def read_pairs_csv(path, mode):
     Returns a read-only sequence of ``PairRecord``s."""
     if mode not in _MODES:
         raise MetricsError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    expected = (
-        ["group", "correct"]
-        if mode == "outcomes"
-        else ["group", "similarity", "is_genuine"]
-    )
     similarity = mode == "similarity"
+    columns = (
+        ("group", "similarity", "is_genuine") if similarity else ("group", "correct")
+    )
     table = _PairTable(mode)
-    with read_csv(path, MetricsError) as (header, records):
-        if header != expected:
-            raise MetricsError(
-                f"{path}: expected header {','.join(expected)!r}"
-            )
+    with read_csv(path, MetricsError, columns) as (_, records):
         for lineno, row in records:
-            if len(row) != len(expected) or not row[0]:
+            if not row[0]:
                 raise MetricsError(f"{path}: line {lineno}: malformed row")
             value = None
             try:
@@ -338,19 +332,13 @@ def read_runs_csv(path):
     """Load run summaries: ``run_id,strategy,size`` plus one ``acc_<group>``
     column per group. Returns (group_labels, rows) where each row is a dict
     with the raw fields and an ``accs`` mapping."""
-    with read_csv(path, MetricsError) as (header, records):
-        if header is None or header[:3] != ["run_id", "strategy", "size"]:
-            raise MetricsError(
-                f"{path}: header must start with run_id,strategy,size"
-            )
-        acc_cols = header[3:]
-        if len(acc_cols) < 2 or not all(c.startswith("acc_") for c in acc_cols):
+    with read_csv(
+        path, MetricsError, ("run_id", "strategy", "size"), "acc_"
+    ) as (labels, records):
+        if len(labels) < 2:
             raise MetricsError(f"{path}: need at least two acc_<group> columns")
-        labels = tuple(c[len("acc_"):] for c in acc_cols)
         rows = []
         for lineno, row in records:
-            if len(row) != len(header):
-                raise MetricsError(f"{path}: line {lineno}: malformed row")
             try:
                 accs = {
                     label: float(cell) for label, cell in zip(labels, row[3:])

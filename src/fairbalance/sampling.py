@@ -451,6 +451,9 @@ def _formatted(diags):
         yield strings
 
 
+_LOG_COLUMNS = ("step", "identity_id", "group", "own_group_ids")
+
+
 def write_removal_log(trace, path):
     labels = trace.group_labels
     events = trace.events
@@ -460,7 +463,7 @@ def write_removal_log(trace, path):
     )
     write_csv(
         path,
-        ["step", "identity_id", "group", "own_group_ids"]
+        list(_LOG_COLUMNS)
         + [f"diag_{g}_before" for g in labels]
         + [f"diag_{g}_after" for g in labels],
         (
@@ -493,35 +496,27 @@ def read_diag_series(path):
     Returns (group_labels, [(step, diag), ...]) with step 0 rows skipped, so
     the result is directly usable with :func:`equilibrium_step`.
     """
-    with read_csv(path, SamplingError) as (header, records):
-        if header is None:
-            raise SamplingError(f"{path}: empty file")
-        if header[:4] == ["step", "identity_id", "group", "own_group_ids"]:
+    with read_csv(path, SamplingError, (), "") as (header, records):
+        if header[:4] == _LOG_COLUMNS:
             diag_count = len(header) - 4
             first, suffix = 4 + diag_count // 2, "_after"
             ok = diag_count and not diag_count % 2
         else:
             first, suffix = 1, ""
-            ok = header[:1] == ["step"] and len(header) > 1
+            ok = header[:1] == ("step",) and len(header) > 1
         names = header[first:]
         if not ok or not all(
             name.startswith("diag_") and name.endswith(suffix) for name in names
         ):
             raise SamplingError(f"{path}: not a removal log or evolution file")
         labels = tuple(name[len("diag_"):len(name) - len(suffix)] for name in names)
-        width = len(header)
         series = []
         for lineno, row in records:
-            if len(row) < width:
-                raise SamplingError(
-                    f"{path}: line {lineno}: expected {width} "
-                    f"fields, got {len(row)}"
-                )
             try:
                 step = int(row[0])
                 if step == 0:
                     continue
-                series.append((step, tuple(map(float, row[first:width]))))
+                series.append((step, tuple(map(float, row[first:]))))
             except ValueError as exc:
                 raise SamplingError(f"{path}: line {lineno}: {exc}") from None
     return labels, series

@@ -29,7 +29,7 @@ lets relabeling detect the mislabelled fraction later.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import SynthError
 from .manifest import GroupSet, ImageRecord, Manifest
@@ -92,15 +92,7 @@ class SynthConfig:
         if not isinstance(data, dict):
             raise SynthError(f"config must be a JSON object, got {data!r:.40}")
         try:
-            known = {
-                "seed",
-                "groups",
-                "identities_per_group",
-                "images_per_identity",
-                "concentration",
-                "label_noise",
-            }
-            extra = set(data) - known
+            extra = set(data) - {field.name for field in fields(cls)}
             if extra:
                 raise SynthError(f"unknown config fields: {sorted(extra)}")
             groups = data["groups"]

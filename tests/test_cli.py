@@ -713,6 +713,49 @@ class TestOutputPaths:
         assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
 
 
+class TestOutputModes:
+    """Every output gets the mode a plain ``open`` gives under the umask;
+    a manifest's sidecar stays readable by its owner only."""
+
+    # every command that writes a file, with each of its output flags
+    WRITERS = [
+        ["synth", "--seed", "3", "--identities-per-group", "4",
+         "--images-per-identity", "1,2", "--out", "{out}/synth.csv"],
+        ["validate", "{out}/synth.csv"],
+        ["summarize", "{out}/synth.csv", "--out", "{out}/summary.json"],
+        ["ids", "{out}/synth.csv", "--protocol", "A", "--out", "{out}/ids.csv"],
+        ["es", "{out}/synth.csv", "--protocol", "A", "--out", "{out}/es.csv"],
+        ["relabel", "{out}/synth.csv", "--out", "{out}/relabelled.csv"],
+        ["sample", "{out}/synth.csv", "--protocol", "A", "--remove", "2",
+         "--log", "{out}/log.csv", "--evolution", "{out}/evolution.csv",
+         "--out", "{out}/subset.csv"],
+        ["single", "{out}/synth.csv", "--group", "Asian", "--strategy", "min",
+         "--keep-fraction", "0.5", "--log", "{out}/single-log.csv",
+         "--out", "{out}/single.csv"],
+        ["metrics", "--accuracies", "0.9,0.8", "--out", "{out}/metrics.json"],
+        ["pareto", "--runs", "{runs}", "--bias", "std", "--out", "{out}/pareto.csv"],
+        ["scatter", "{out}/synth.csv", "--external", "{external}",
+         "--out", "{out}/scatter.csv"],
+    ]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_outputs_follow_the_umask(self, capsys, pinned_inputs, tmp_path, umask):
+        out = tmp_path / "out"
+        out.mkdir()
+        names = {**pinned_inputs, "out": out}
+        previous = os.umask(umask)
+        try:
+            for argv in self.WRITERS:
+                code, _, err = run(capsys, *[arg.format(**names) for arg in argv])
+                assert code == 0, err
+        finally:
+            os.umask(previous)
+        modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+        assert modes.pop(".synth.csv.fbcache") == 0o600
+        assert len(modes) == 13
+        assert set(modes.values()) == {0o666 & ~umask}, modes
+
+
 # (id, argv, sha256 of {out}) for every output CSV whose bytes no other test
 # pins; {spare} takes any other output of the command
 PINNED_OUTPUTS = [

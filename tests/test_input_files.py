@@ -7,6 +7,7 @@ and a NaN, infinite, negative, reversed, zero or empty flag value in exit 0,
 """
 
 import io
+import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -20,12 +21,21 @@ from fairbalance.cli import main
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "fairbalance"
 
 
+def users_of(name):
+    return sorted(
+        path.name for path in SOURCES.glob("*.py") if name in path.read_text()
+    )
+
+
 def test_csv_reader_lives_in_util_only():
-    for name in ("csv.reader", "csv.writer", "import csv"):
-        users = sorted(
-            path.name for path in SOURCES.glob("*.py") if name in path.read_text()
-        )
-        assert users == ["_util.py"], name
+    for name in (
+        "csv.reader", "csv.writer", "import csv",
+        # the header rule's own messages
+        "duplicate columns in header", "expected header", "header must start with",
+    ):
+        assert users_of(name) == ["_util.py"], name
+    # a manifest row of the wrong width is a rejected row, not a failed read
+    assert users_of("len(row)") == ["_util.py", "manifest.py"]
 
 
 def run_quietly(argv):
@@ -113,6 +123,19 @@ def mutate(text, mutation, at, token):
         return header + "," + header.split(",")[-1] + newline + rest
     if mutation == "crlf":
         return text.replace("\n", "\r\n")
+    if mutation == "rename_column":
+        header, newline, rest = text.partition("\n")
+        names = header.split(",")
+        names[at % len(names)] = token
+        return ",".join(names) + newline + rest
+    if mutation in ("extra_field", "drop_field"):
+        lines = text.split("\n")
+        at %= len(lines)
+        if mutation == "extra_field":
+            lines[at] += "," + token
+        else:
+            lines[at] = lines[at].rpartition(",")[0]
+        return "\n".join(lines)
     assert mutation == "empty"
     return ""
 
@@ -121,7 +144,7 @@ mutations = st.lists(
     st.tuples(
         st.sampled_from(
             ("truncate", "bad_number", "nul", "bom", "duplicate_header", "crlf",
-             "empty")
+             "rename_column", "extra_field", "drop_field", "empty")
         ),
         st.integers(0, 10_000),
         st.sampled_from(BAD_NUMBERS),
@@ -147,6 +170,45 @@ def test_mutated_input_exits_zero_or_one(valid_inputs, kind, steps):
     if code == 1:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+# (mutation, at, token) for each break of the header and field-count rule
+# every input CSV shares; the record faults change line 2, the first record
+FAULTS = {
+    "empty_file": ("empty", 0, ""),
+    "duplicate_column": ("duplicate_header", 0, ""),
+    "wrong_first_column": ("rename_column", 0, "x"),
+    "unexpected_column": ("rename_column", -1, "x"),
+    "extra_field": ("extra_field", 1, "9"),
+    "missing_field": ("drop_field", 1, ""),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("kind", [kind for kind in COMMANDS if kind != "config"])
+def test_every_csv_reader_keeps_one_header_and_width_rule(
+    valid_inputs, tmp_path, kind, fault
+):
+    text = valid_inputs[kind].read_text(encoding="utf-8")
+    bad = tmp_path / f"{kind}.csv"
+    bad.write_text(mutate(text, *FAULTS[fault]), encoding="utf-8")
+    names = {**valid_inputs, "input": bad}
+    code, err = run_quietly([arg.format(**names) for arg in COMMANDS[kind]])
+    assert code == 1, err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    if fault == "empty_file":
+        assert err == f"error: {bad}: empty file\n"
+    if fault == "duplicate_column":
+        assert err == f"error: {bad}: duplicate columns in header\n"
+    width = text.partition("\n")[0].count(",") + 1
+    got = {"extra_field": width + 1, "missing_field": width - 1}.get(fault)
+    if got is not None:
+        assert err.endswith(f"line 2: expected {width} fields, got {got}\n"), err
+        if kind == "manifest":
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                assert main(["validate", str(bad), "--permissive"]) == 0
+            assert json.loads(out.getvalue())["rejected_rows"] == 1
 
 
 # odd flag values; counts stay tiny, so no draw can allocate much
