@@ -451,9 +451,6 @@ def _formatted(diags):
         yield strings
 
 
-_LOG_COLUMNS = ("step", "identity_id", "group", "own_group_ids")
-
-
 def write_removal_log(trace, path):
     labels = trace.group_labels
     events = trace.events
@@ -463,7 +460,7 @@ def write_removal_log(trace, path):
     )
     write_csv(
         path,
-        list(_LOG_COLUMNS)
+        ["step", "identity_id", "group", "own_group_ids"]
         + [f"diag_{g}_before" for g in labels]
         + [f"diag_{g}_after" for g in labels],
         (
@@ -497,7 +494,7 @@ def read_diag_series(path):
     the result is directly usable with :func:`equilibrium_step`.
     """
     with read_csv(path, SamplingError, (), "") as (header, records):
-        if header[:4] == _LOG_COLUMNS:
+        if header[:4] == ("step", "identity_id", "group", "own_group_ids"):
             diag_count = len(header) - 4
             first, suffix = 4 + diag_count // 2, "_after"
             ok = diag_count and not diag_count % 2
