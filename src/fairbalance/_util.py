@@ -95,7 +95,7 @@ def read_csv(path, error, fixed, prefix=None, check_width=True):
                 start = reader.line_num + 1
 
         try:
-            header = next(reader, None)
+            header = next(filter(None, reader), None)
             start = reader.line_num + 1
             if header is None:
                 raise error(f"{path}: empty file")

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid data or arguments, 2 usage errors (argparse
-owns these), 3 internal invariant violations. Diagnostics go to stderr; data
-goes to stdout or to the files named by ``--out`` style flags. Log verbosity
-is controlled by the FAIRBALANCE_LOG environment variable (debug, info,
-warning, error).
+Exit codes: 0 success, 1 invalid data or arguments, 2 usage errors (malformed
+flag text or flag combinations), 3 internal invariant violations. Diagnostics
+go to stderr; data goes to stdout or to the files named by ``--out`` style
+flags. Log verbosity is controlled by the FAIRBALANCE_LOG environment variable
+(debug, info, warning, error).
 """
 
 import argparse
@@ -19,7 +19,7 @@ from . import __version__
 from ._util import atomic_write, read_csv, set_log_level
 from .errors import DataError, ManifestError
 from .manifest import (
-    DEFAULT_GROUP_LABELS,
+    DEFAULT_GROUPS,
     GroupSet,
     load_manifest,
     summarize,
@@ -78,6 +78,19 @@ def _groups_arg(value):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _numbers(kind, name):
+    """A ``type=`` for a comma-separated list of ``kind``: a tuple, or a
+    usage error naming the list."""
+    def parse(value):
+        try:
+            return tuple(map(kind, value.split(",")))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated {name} list, got {value!r}"
+            ) from None
+    return parse
+
+
 def _seed_arg(value):
     """A ``--seed`` value: an integer in [0, 2**64), which SplitMix64 takes
     as its state; anything else is a usage error."""
@@ -91,8 +104,7 @@ def _seed_arg(value):
 
 
 def _load(args):
-    groups = args.groups if getattr(args, "groups", None) else None
-    return load_manifest(args.manifest, groups=groups,
+    return load_manifest(args.manifest, groups=args.groups,
                          permissive=getattr(args, "permissive", False))
 
 
@@ -124,6 +136,8 @@ def _cmd_ids(args):
 
 
 def _cmd_es(args):
+    if args.format == "csv" and not args.out:
+        raise _UsageError("--out is required for csv output")
     manifest = _load(args)
     es = compute_es(manifest, Protocol(args.protocol))
     if args.format == "json":
@@ -133,8 +147,6 @@ def _cmd_es(args):
         }
         _emit(payload, args.out)
     else:
-        if not args.out:
-            raise DataError("--out is required for csv output")
         write_es_csv(es, args.out)
     return 0
 
@@ -216,10 +228,7 @@ def _cmd_metrics(args):
     if args.pairs and not args.mode:
         raise _UsageError("--pairs requires --mode")
     if args.accuracies:
-        try:
-            values = [float(v) for v in args.accuracies.split(",")]
-        except ValueError:
-            raise DataError("--accuracies expects a comma-separated float list")
+        values = args.accuracies
         if args.group_labels:
             labels = args.group_labels.labels
             if len(labels) != len(values):
@@ -287,40 +296,17 @@ def _cmd_synth(args):
     else:
         if args.seed is None:
             raise _UsageError("synth requires --seed (or --config)")
-        groups = args.groups or GroupSet(DEFAULT_GROUP_LABELS)
+        span = args.images_per_identity  # one value N means N,N
         config = SynthConfig(
             seed=args.seed,
-            groups=groups,
-            identities_per_group=_int_list(args.identities_per_group),
-            images_per_identity=_int_pair(args.images_per_identity),
-            concentration=_float_list(args.concentration),
+            groups=args.groups,
+            identities_per_group=args.identities_per_group,
+            images_per_identity=span * 2 if len(span) == 1 else span,
+            concentration=args.concentration,
             label_noise=args.label_noise,
         )
     write_manifest(generate(config), args.out)
     return 0
-
-
-def _int_list(value):
-    try:
-        return tuple(int(v) for v in str(value).split(","))
-    except ValueError:
-        raise DataError(f"expected a comma-separated integer list, got {value!r}")
-
-
-def _int_pair(value):
-    parts = _int_list(value)
-    if len(parts) == 1:
-        parts = parts * 2
-    if len(parts) != 2:
-        raise DataError(f"expected MIN,MAX, got {value!r}")
-    return parts
-
-
-def _float_list(value):
-    try:
-        return tuple(float(v) for v in str(value).split(","))
-    except ValueError:
-        raise DataError(f"expected a comma-separated float list, got {value!r}")
 
 
 def _cmd_equilibrium(args):
@@ -422,7 +408,8 @@ def build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--pairs", help="verification pairs CSV")
     source.add_argument(
-        "--accuracies", help="comma-separated per-group accuracies"
+        "--accuracies", type=_numbers(float, "float"),
+        help="comma-separated per-group accuracies",
     )
     p.add_argument(
         "--mode",
@@ -450,12 +437,16 @@ def build_parser():
     p.add_argument("--config", help="JSON config file (overrides the flags)")
     p.add_argument("--seed", type=_seed_arg)
     p.add_argument(
-        "--groups", type=_groups_arg, default=None,
-        help=f"default: {','.join(DEFAULT_GROUP_LABELS)}",
+        "--groups", type=_groups_arg, default=DEFAULT_GROUPS,
+        help=f"default: {','.join(DEFAULT_GROUPS.labels)}",
     )
-    p.add_argument("--identities-per-group", default="25")
-    p.add_argument("--images-per-identity", default="1,4")
-    p.add_argument("--concentration", default="4")
+    p.add_argument(
+        "--identities-per-group", type=_numbers(int, "integer"), default="25"
+    )
+    p.add_argument(
+        "--images-per-identity", type=_numbers(int, "integer"), default="1,4"
+    )
+    p.add_argument("--concentration", type=_numbers(float, "float"), default="4")
     p.add_argument("--label-noise", type=float, default=0.0)
     p.add_argument("--out", required=True)
 

@@ -10,7 +10,8 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, groupby
+from operator import attrgetter
 
 from ._util import read_csv, write_csv
 from .errors import MetricsError
@@ -269,22 +270,15 @@ def pareto_frontier(points):
     points = list(points)
     if not points:
         raise MetricsError("no points given")
-    ordered = sorted(points, key=lambda p: p.error)
+    error = attrgetter("error")
     kept = []
     best_before = math.inf
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j].error == ordered[i].error:
-            j += 1
-        tier = ordered[i:j]
+    for _, tier in groupby(sorted(points, key=error), error):
+        tier = list(tier)
         tier_min = min(p.bias for p in tier)
-        for p in tier:
-            if p.bias < best_before and p.bias == tier_min:
-                kept.append(p)
         if tier_min < best_before:
+            kept.extend(p for p in tier if p.bias == tier_min)
             best_before = tier_min
-        i = j
     return kept
 
 

@@ -95,11 +95,7 @@ def _pick_target(diag, counts, group_mean):
     (ignoring exhausted groups); exact ties resolve to the lowest index."""
     if group_mean:
         return diag.index(min(diag))
-    best = None
-    for i, value in enumerate(diag):
-        if counts[i] and (best is None or value > diag[best]):
-            best = i
-    return best
+    return max(compress(range(len(diag)), counts), key=diag.__getitem__)
 
 
 # What fsum returns for a multiset of negative zeros: 0.0 or -0.0, depending

@@ -176,12 +176,6 @@ def _score_vector(rng, d, peak, inv_kappa, lam):
     total = math.fsum(exps)
     rest = 1.0 - own
     base = (1.0 - lam) / (d - 1)
-    scores = []
-    j = 0
-    for c in range(d):
-        if c == peak:
-            scores.append(own)
-        else:
-            scores.append(rest * (base + lam * exps[j] / total))
-            j += 1
+    scores = [rest * (base + lam * e / total) for e in exps]
+    scores.insert(peak, own)
     return tuple(scores)

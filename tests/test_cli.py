@@ -296,9 +296,10 @@ class TestIdsAndEs:
         assert set(payload["g1"]) == {"g1", "g2"}
 
     def test_es_csv_requires_out(self, capsys, plain_manifest):
-        code, _, err = run(capsys, "es", str(plain_manifest), "--protocol", "A")
-        assert code == 1
-        assert "--out is required" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["es", str(plain_manifest), "--protocol", "A"])
+        assert exc.value.code == 2
+        assert "--out is required" in capsys.readouterr().err
 
     def test_es_csv_written(self, capsys, plain_manifest, tmp_path):
         out = tmp_path / "es.csv"
@@ -982,6 +983,71 @@ class TestSeedRange:
                     for a in self.SEEDED[command]]
             code, _, err = run(capsys, *argv, f"--seed={seed}")
             assert code == 0, err
+
+
+class TestFlagContract:
+    """Flag text that is not a number, in a list or not, is a usage error
+    (exit 2) caught before any file is read or written; a well-formed value
+    the data rejects is exit 1."""
+
+    COMMANDS = {
+        "remove": ["sample", "{manifest}", "--protocol", "A", "--out", "{out}"],
+        "target-size": ["sample", "{manifest}", "--protocol", "A",
+                        "--out", "{out}"],
+        "seed": ["synth", "--out", "{out}"],
+        "keep-fraction": ["single", "{manifest}", "--group", "g1",
+                          "--strategy", "min", "--out", "{out}"],
+        "epsilon": ["equilibrium", "--trace", "{manifest}"],
+        "label-noise": ["synth", "--seed", "1", "--out", "{out}"],
+        "identities-per-group": ["synth", "--seed", "1", "--out", "{out}"],
+        "images-per-identity": ["synth", "--seed", "1", "--out", "{out}"],
+        "concentration": ["synth", "--seed", "1", "--out", "{out}"],
+        "accuracies": ["metrics", "--out", "{out}"],
+    }
+
+    def argv(self, flag, value, manifest, out):
+        names = {"manifest": manifest, "out": out}
+        return [a.format(**names) for a in self.COMMANDS[flag]] + [
+            f"--{flag}", value
+        ]
+
+    @pytest.mark.parametrize("flag", COMMANDS)
+    def test_non_number_exits_two(self, capsys, plain_manifest, tmp_path, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(flag, "x", plain_manifest, out))
+        assert exc.value.code == 2
+        assert f"argument --{flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_image_count_means_min_and_max(self, capsys, plain_manifest, tmp_path):
+        outputs = []
+        for value in ("3", "3,3"):
+            out = tmp_path / f"{value}.csv"
+            code, _, err = run(
+                capsys, *self.argv("images-per-identity", value, plain_manifest, out)
+            )
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "flag, value, problem",
+        [
+            ("identities-per-group", "-1", "non-negative integers"),
+            ("images-per-identity", "3,1", "1 <= min <= max"),
+            ("images-per-identity", "1,2,3", "integer (min, max)"),
+            ("accuracies", "0.9", "at least two groups"),
+        ],
+    )
+    def test_rejected_number_exits_one(
+        self, capsys, plain_manifest, tmp_path, flag, value, problem
+    ):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *self.argv(flag, value, plain_manifest, out))
+        assert code == 1
+        assert err.startswith("error:") and problem in err
+        assert not out.exists()
 
 
 class TestDuplicateGroupFlags:

@@ -3,7 +3,8 @@ contract under mutated input files and odd flag values: a malformed
 manifest, pairs file, runs file, removal log, evolution file, external-score
 file or synth config ends in exit 0 or 1 with at most one ``error:`` line,
 and a NaN, infinite, negative, reversed, zero or empty flag value in exit 0,
-1 or 2; never in a traceback.
+1 or 2, and exactly 2 when a number list holds a token that is no number;
+never in a traceback.
 """
 
 import io
@@ -211,6 +212,27 @@ def test_every_csv_reader_keeps_one_header_and_width_rule(
             assert json.loads(out.getvalue())["rejected_rows"] == 1
 
 
+@pytest.mark.parametrize("blank", ["\n", "\r\n"])
+@pytest.mark.parametrize("kind", [kind for kind in COMMANDS if kind != "config"])
+def test_leading_blank_line_is_skipped(valid_inputs, tmp_path, kind, blank):
+    """A blank line before the header changes neither the exit code, nor
+    stdout, nor the output file."""
+    text = valid_inputs[kind].read_text(encoding="utf-8")
+    results = []
+    for name, prefix in (("plain", ""), ("blank", blank)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(prefix + text, encoding="utf-8", newline="")
+        out = tmp_path / f"{name}.out"
+        names = {**valid_inputs, "input": path, "out": out}
+        stdout = io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+            code = main([arg.format(**names) for arg in COMMANDS[kind]])
+        written = out.read_bytes() if out.exists() else None
+        results.append((code, stdout.getvalue(), written))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 # odd flag values; counts stay tiny, so no draw can allocate much
 ODD_FLOATS = ("nan", "inf", "-inf", "-1", "-0.5", "0", "-0", "1e-300", "0.5",
               "1", "1.5", "1e300", "x", "")
@@ -332,3 +354,15 @@ def test_odd_flag_values_exit_zero_one_or_two(valid_inputs, command, data):
     code, err = run_flags(argv)
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
+    if any(not_floats(arg.partition("=")[2]) for arg in argv
+           if arg.startswith(("--concentration=", "--accuracies="))):
+        assert code == 2, err
+
+
+def not_floats(value):
+    """Whether a comma-separated list holds a token ``float`` rejects."""
+    try:
+        [float(token) for token in value.split(",")]
+    except ValueError:
+        return True
+    return False

@@ -23,7 +23,7 @@ from fairbalance import (
     write_evolution,
     write_removal_log,
 )
-from fairbalance.sampling import _ExactSum
+from fairbalance.sampling import _ExactSum, _pick_target
 
 from _oracles import write_evolution_oracle, write_removal_log_oracle
 from conftest import build_manifest, tie_heavy_manifests
@@ -133,6 +133,11 @@ class TestGreedyRemoval:
         assert event.own_group_ids == 0.6
         assert event.diag_after == (0.9, 0.945)
         assert "b" not in subset.identities
+
+    def test_protocol_c_target(self):
+        # the highest diagonal among non-empty groups, the lowest index on a tie
+        assert _pick_target([0.0, 0.0, 0.5, 0.5], [0, 2, 1, 3], False) == 2
+        assert _pick_target([0.9, 0.0, 0.0], [0, 1, 1], False) == 1
 
     def test_sum_protocol_targets_largest(self, two_groups):
         _, trace = sample_protocol(two_groups, Protocol.C, 1)
