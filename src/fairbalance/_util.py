@@ -6,6 +6,10 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from itertools import chain, islice
+
+# rows per formatted write in write_csv
+CHUNK = 4096
 
 
 @contextmanager
@@ -50,13 +54,37 @@ def _cannot_write(path, exc):
 
 def write_csv(path, header, rows):
     """Write the record ``header`` and then each of ``rows`` to the CSV
-    ``path`` through :func:`atomic_write`. The csv module writes a float as
-    its ``repr``, the shortest decimal string that round-trips to the same
-    double."""
+    ``path`` through :func:`atomic_write`, in the bytes of ``csv.writer``
+    with LF line ends. Cells are ``str``, ``int`` or ``float``; a float is
+    written as its ``repr``, the shortest decimal string that round-trips
+    to the same double.
+
+    Rows go out ``CHUNK`` at a time. A chunk whose rows all have the
+    header's width is formatted as one string, ``%s`` per cell, and written
+    whole when that string holds no ``"`` or CR and exactly the commas and
+    line ends of its cell and row breaks, so no cell needs quoting; any
+    other chunk goes through ``csv.writer``."""
+    rows = chain((header,), rows)
+    width = len(header)
+    row_format = ",".join(["%s"] * width)
     with atomic_write(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for chunk in iter(lambda: list(islice(rows, CHUNK)), []):
+            n = len(chunk)
+            # a lone empty cell is written as ""
+            if width > 1 and set(map(len, chunk)) == {width}:
+                text = "\n".join([row_format] * n) % tuple(chain.from_iterable(chunk))
+                if (
+                    text.count(",") == (width - 1) * n
+                    and text.count("\n") == n - 1
+                    and '"' not in text
+                    # quoted by csv.writer on some Python versions
+                    and "\r" not in text
+                ):
+                    handle.write(text)
+                    handle.write("\n")
+                    continue
+            writer.writerows(chunk)
 
 
 @contextmanager

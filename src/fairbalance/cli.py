@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from operator import ne
 
 from . import __version__
@@ -227,6 +226,10 @@ def _write_subset(args, subset, trace):
 def _cmd_metrics(args):
     if args.pairs and not args.mode:
         raise _UsageError("--pairs requires --mode")
+    if args.accuracies is not None and args.mode is not None:
+        raise _UsageError("--mode applies to --pairs only")
+    if args.pairs is not None and args.group_labels is not None:
+        raise _UsageError("--group-labels applies to --accuracies only")
     if args.accuracies:
         values = args.accuracies
         if args.group_labels:
@@ -258,7 +261,7 @@ def _cmd_pareto(args):
         {
             "points": len(real_points),
             "skipped": skipped,
-            "frontier": [asdict(p) for p in frontier],
+            "frontier": [p._asdict() for p in frontier],
         }
     )
     return 0

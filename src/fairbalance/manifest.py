@@ -11,9 +11,8 @@ which keeps write/load round trips byte-stable).
 import math
 import re
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, le, sub, truediv
 
@@ -30,16 +29,14 @@ _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 DEFAULT_GROUP_LABELS = ("African", "Asian", "Caucasian", "Indian")
 
 
-@dataclass(frozen=True)
-class GroupSet:
+class GroupSet(namedtuple("GroupSet", "labels")):
     """Ordered, distinct group labels. Order is significant everywhere:
     score columns, matrix rows, and tie-breaking all follow it."""
 
-    labels: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __new__(cls, labels):
+        labels = tuple(labels)
         if len(labels) < 2:
             raise ManifestError("a group set needs at least two groups")
         if len(set(labels)) != len(labels):
@@ -47,6 +44,7 @@ class GroupSet:
         for label in labels:
             if not isinstance(label, str) or not label:
                 raise ManifestError("group labels must be non-empty strings")
+        return super().__new__(cls, labels)
 
     @property
     def d(self):
@@ -65,22 +63,15 @@ class GroupSet:
 DEFAULT_GROUPS = GroupSet(DEFAULT_GROUP_LABELS)
 
 
-@dataclass(frozen=True, slots=True)
-class ImageRecord:
+class ImageRecord(namedtuple("ImageRecord", "image_id identity_id group scores")):
     """One image row: ids, assigned group (index into the GroupSet), and the
     per-group membership scores, which sum to one after load."""
 
-    image_id: str
-    identity_id: str
-    group: int
-    scores: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityRecord:
-    identity_id: str
-    group: int
-    image_ids: tuple
+class IdentityRecord(namedtuple("IdentityRecord", "identity_id group image_ids")):
+    __slots__ = ()
 
     @property
     def image_count(self):

@@ -7,9 +7,8 @@ trains or evaluates a model.
 
 import math
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain, compress, groupby
 from operator import attrgetter
 
@@ -19,15 +18,15 @@ from .errors import MetricsError
 _MODES = ("outcomes", "similarity")
 
 
-@dataclass(frozen=True, slots=True)
-class PairRecord:
+class PairRecord(
+    namedtuple(
+        "PairRecord", "group correct similarity is_genuine", defaults=(None,) * 3
+    )
+):
     """One verification pair. ``correct`` is set in outcomes mode;
     ``similarity`` and ``is_genuine`` in similarity mode."""
 
-    group: str
-    correct: bool = None
-    similarity: float = None
-    is_genuine: bool = None
+    __slots__ = ()
 
 
 class _PairTable(Sequence):
@@ -177,8 +176,7 @@ def _best_threshold_accuracy(genuine, impostor):
     return best / (n_genuine + n_impostor)
 
 
-@dataclass
-class FairnessReport:
+class FairnessReport(namedtuple("FairnessReport", "per_group average std ser flags")):
     """Fairness aggregates over per-group accuracies.
 
     Accuracies are stored as fractions in [0, 1]. ``std`` is the sample
@@ -187,11 +185,7 @@ class FairnessReport:
     is 1 for perfect balance and infinite when some group is error-free.
     """
 
-    per_group: dict
-    average: float
-    std: float
-    ser: float
-    flags: tuple
+    __slots__ = ()
 
     def to_dict(self):
         """JSON-ready form; accuracy fields on the percent scale."""
@@ -246,17 +240,12 @@ def fairness_report(accuracies):
     )
 
 
-@dataclass(frozen=True)
-class RunPoint:
+class RunPoint(namedtuple("RunPoint", "run_id strategy size error bias")):
     """One training run placed on the error/bias plane. ``error`` is
     1 - average accuracy as a fraction; ``bias`` is the chosen spread
     measure (std or ser)."""
 
-    run_id: str
-    strategy: str
-    size: str
-    error: float
-    bias: float
+    __slots__ = ()
 
 
 def pareto_frontier(points):

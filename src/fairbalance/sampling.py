@@ -23,39 +23,67 @@ and is the literal-transcription oracle that certifies the fast path.
 """
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from operator import is_not
 
 from ._util import read_csv, warn, write_csv
 from .errors import SamplingError
-from .manifest import Manifest
 from .rng import SplitMix64
 from .scoring import Protocol, compute_es, compute_ids
 
 
-@dataclass(frozen=True)
-class RemovalEvent:
+class _Record:
+    """A record whose fields are its instance ``__dict__``, in constructor
+    order: ``Name(field=value, ...)`` repr, equal when of one type with
+    equal fields."""
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
+class RemovalEvent(_Record):
     """One removal: who was removed, from which group, with which own-group
     score, and the diagonal right before and right after. Only the touched
-    group's entry may differ between the two vectors."""
+    group's entry may differ between the two vectors. Immutable."""
 
-    step: int
-    identity_id: str
-    group: str
-    own_group_ids: float
-    diag_before: tuple
-    diag_after: tuple
+    def __init__(self, step, identity_id, group, own_group_ids, diag_before, diag_after):
+        # one setattr per field keeps the compact per-instance layout;
+        # filling vars(self) would build a dict per event
+        set_field = object.__setattr__
+        set_field(self, "step", step)
+        set_field(self, "identity_id", identity_id)
+        set_field(self, "group", group)
+        set_field(self, "own_group_ids", own_group_ids)
+        set_field(self, "diag_before", diag_before)
+        set_field(self, "diag_after", diag_after)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
-@dataclass
-class RemovalTrace:
-    name: str
-    group_labels: tuple
-    initial_diag: tuple
-    seed: int = None
-    events: list = field(default_factory=list)
-    final_manifest: Manifest = None
+class RemovalTrace(_Record):
+    def __init__(
+        self, name, group_labels, initial_diag, seed=None, events=None,
+        final_manifest=None,
+    ):
+        self.name = name
+        self.group_labels = group_labels
+        self.initial_diag = initial_diag
+        self.seed = seed
+        self.events = [] if events is None else events
+        self.final_manifest = final_manifest
 
     def removed_ids(self):
         return [event.identity_id for event in self.events]

@@ -14,7 +14,7 @@ on when it compares an incremental run against a full recomputation.
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import compress
 from operator import gt, itemgetter
@@ -40,13 +40,11 @@ class Protocol(Enum):
         return self is not Protocol.C
 
 
-@dataclass(frozen=True)
-class IdsTable:
+class IdsTable(namedtuple("IdsTable", "protocol entries")):
     """Per-identity aggregated score vectors, keyed by identity id in
     first-appearance order."""
 
-    protocol: Protocol
-    entries: dict
+    __slots__ = ()
 
     def own_scores(self, manifest):
         """Each identity's component for its own assigned group."""
@@ -56,15 +54,12 @@ class IdsTable:
         }
 
 
-@dataclass(frozen=True)
-class EsMatrix:
+class EsMatrix(namedtuple("EsMatrix", "protocol groups values")):
     """Group-by-group score matrix. Row r aggregates the identities assigned
     to group r; column c is their score mass on group c. The diagonal is what
     the greedy samplers steer on."""
 
-    protocol: Protocol
-    groups: tuple
-    values: tuple
+    __slots__ = ()
 
     def diag(self):
         return tuple(self.values[i][i] for i in range(len(self.values)))
@@ -146,17 +141,14 @@ def relabel(manifest):
     )
 
 
-@dataclass(frozen=True)
-class ScatterResult:
+class ScatterResult(namedtuple("ScatterResult", "rows correlations skipped")):
     """Per-image pairing of own-group score against an external score.
 
     ``correlations`` maps each group label to a Pearson coefficient, or None
     when it is undefined (fewer than two points, or a constant side).
     """
 
-    rows: tuple
-    correlations: dict
-    skipped: int
+    __slots__ = ()
 
 
 def score_scatter(manifest, external_scores):

@@ -29,15 +29,20 @@ lets relabeling detect the mislabelled fraction later.
 """
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .errors import SynthError
 from .manifest import GroupSet, ImageRecord, Manifest
 from .rng import SEEDS, SplitMix64
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(
+    namedtuple(
+        "SynthConfig",
+        "seed groups identities_per_group images_per_identity concentration "
+        "label_noise",
+    )
+):
     """Generation settings.
 
     ``identities_per_group`` and ``concentration`` have one entry per group;
@@ -46,22 +51,19 @@ class SynthConfig:
     is moved to a uniformly random other group.
     """
 
-    seed: int
-    groups: GroupSet
-    identities_per_group: tuple
-    images_per_identity: tuple
-    concentration: tuple
-    label_noise: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_int(self.seed) or self.seed not in SEEDS:
+    def __new__(
+        cls, seed, groups, identities_per_group, images_per_identity,
+        concentration, label_noise=0.0,
+    ):
+        if not _is_int(seed) or seed not in SEEDS:
             raise SynthError("seed must be an integer in [0, 2**64)")
-        d = self.groups.d
-        counts = _broadcast(self.identities_per_group, d, "identities_per_group")
+        d = groups.d
+        counts = _broadcast(identities_per_group, d, "identities_per_group")
         if any(not _is_int(c) or c < 0 for c in counts):
             raise SynthError("identity counts must be non-negative integers")
-        object.__setattr__(self, "identities_per_group", counts)
-        span = tuple(self.images_per_identity)
+        span = tuple(images_per_identity)
         if (
             len(span) != 2
             or any(not _is_int(v) for v in span)
@@ -71,28 +73,27 @@ class SynthConfig:
                 "images_per_identity must be an integer (min, max) with "
                 "1 <= min <= max"
             )
-        object.__setattr__(self, "images_per_identity", span)
-        conc = _broadcast(self.concentration, d, "concentration")
+        conc = _broadcast(concentration, d, "concentration")
         # float() would take "2" or True for a number
         if any(isinstance(c, (bool, str)) for c in conc):
             raise SynthError("concentration values must be numbers")
         conc = tuple(float(c) for c in conc)
         if any(not math.isfinite(c) or c <= 0 for c in conc):
             raise SynthError("concentration values must be positive")
-        object.__setattr__(self, "concentration", conc)
         if not (
-            isinstance(self.label_noise, (int, float))
-            and not isinstance(self.label_noise, bool)
-            and 0.0 <= self.label_noise < 1.0
+            isinstance(label_noise, (int, float))
+            and not isinstance(label_noise, bool)
+            and 0.0 <= label_noise < 1.0
         ):
             raise SynthError("label_noise must be in [0, 1)")
+        return super().__new__(cls, seed, groups, counts, span, conc, label_noise)
 
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise SynthError(f"config must be a JSON object, got {data!r:.40}")
         try:
-            extra = set(data) - {field.name for field in fields(cls)}
+            extra = set(data) - set(cls._fields)
             if extra:
                 raise SynthError(f"unknown config fields: {sorted(extra)}")
             groups = data["groups"]

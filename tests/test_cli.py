@@ -1049,6 +1049,26 @@ class TestFlagContract:
         assert err.startswith("error:") and problem in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["--accuracies", "0.9,0.8", "--mode", "outcomes"],
+             "--mode applies to --pairs only"),
+            (["--pairs", "{pairs}", "--mode", "similarity", "--group-labels", "a,b"],
+             "--group-labels applies to --accuracies only"),
+        ],
+    )
+    def test_metrics_flag_its_source_cannot_use_exits_two(
+        self, capsys, tmp_path, argv, problem
+    ):
+        # the pairs file does not exist: reading it would exit 1
+        pairs, out = tmp_path / "pairs.csv", tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", *[a.format(pairs=pairs) for a in argv], "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"error: {problem}\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDuplicateGroupFlags:
     @pytest.mark.parametrize(
@@ -1173,6 +1193,26 @@ class TestLogging:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_startup_loads_neither_dataclasses_nor_inspect(self):
+        result = self.run_python(
+            "-c",
+            "import sys, fairbalance.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+        # -X importtime names every module the real entry point imports
+        result = self.run_python("-X", "importtime", "-m", "fairbalance", "--version")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("fairbalance ")
+        imported = {
+            line.rpartition("|")[2].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "fairbalance.cli" in imported
+        assert not {"dataclasses", "inspect"} & imported
 
     def test_loads_through_the_sidecar_never_import_hashlib(self, plain_manifest):
         # the first load writes the sidecar, the second reads it
