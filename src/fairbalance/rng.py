@@ -31,14 +31,15 @@ _MIX2 = 0x94D049BB133111EB
 
 class SplitMix64:
     """Deterministic 64-bit generator; the full algorithm is in the module
-    docstring. The seed is the initial state, an integer in [0, 2^64); one
-    outside that range raises ``ValueError`` instead of being reduced."""
+    docstring. The seed is the initial state, an integer in [0, 2^64); any
+    other value raises ``ValueError``: one out of range is not reduced, and
+    a bool, a float or a string is not converted."""
 
     def __init__(self, seed):
-        seed = int(seed)
-        if seed not in SEEDS:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-        self._state = seed
+        # int() first: ``in`` on a range scans it for anything but an exact int
+        if isinstance(seed, bool) or not isinstance(seed, int) or int(seed) not in SEEDS:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+        self._state = int(seed)
 
     def next_u64(self):
         self._state = (self._state + _GAMMA) & _MASK

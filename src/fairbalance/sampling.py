@@ -10,10 +10,10 @@ first-appearance order.
 
 Every fast sampler only chooses who goes next: the greedy one from each
 group's members sorted once by own-group score, the baselines from their
-removal lists. One loop, ``_run``, records the events and keeps the diagonal
-in a ``_DiagTracker``, which holds each group's own-score total as the
+removal lists. One loop, ``_run``, records the events and keeps the
+diagonal: each group's own-score total is an exact sum, held as the
 non-overlapping partials of Shewchuk's algorithm (the one behind
-``math.fsum``): a removal adds the negated score, and the entry is read back
+``math.fsum``). A removal adds the negated score, and the entry is read back
 with ``fsum`` over those few partials. They always add up exactly to the
 survivors' scores, so each entry is the correctly rounded double that
 ``fsum`` over the survivors gives, at a cost per step that does not grow
@@ -22,9 +22,12 @@ make identical choices; ``sample_naive`` rebuilds every table each iteration
 and is the literal-transcription oracle that certifies the fast path.
 """
 
+import copyreg
 import math
+from collections import namedtuple
 from itertools import chain, compress, count
 from operator import is_not
+from types import SimpleNamespace
 
 from ._util import read_csv, warn, write_csv
 from .errors import SamplingError
@@ -32,58 +35,30 @@ from .rng import SplitMix64
 from .scoring import Protocol, compute_es, compute_ids
 
 
-class _Record:
-    """A record whose fields are its instance ``__dict__``, in constructor
-    order: ``Name(field=value, ...)`` repr, equal when of one type with
-    equal fields."""
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-
-class RemovalEvent(_Record):
+class RemovalEvent(namedtuple(
+    "RemovalEvent", "step identity_id group own_group_ids diag_before diag_after"
+)):
     """One removal: who was removed, from which group, with which own-group
     score, and the diagonal right before and right after. Only the touched
-    group's entry may differ between the two vectors. Immutable."""
+    group's entry may differ between the two vectors."""
 
-    def __init__(self, step, identity_id, group, own_group_ids, diag_before, diag_after):
-        # one setattr per field keeps the compact per-instance layout;
-        # filling vars(self) would build a dict per event
-        set_field = object.__setattr__
-        set_field(self, "step", step)
-        set_field(self, "identity_id", identity_id)
-        set_field(self, "group", group)
-        set_field(self, "own_group_ids", own_group_ids)
-        set_field(self, "diag_before", diag_before)
-        set_field(self, "diag_after", diag_after)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
+    __slots__ = ()
+    # a named tuple has no instance dict; this one stands in for it, so a
+    # caller can rebuild an event with type(event)(**{**vars(event), ...})
+    __dict__ = property(lambda self: self._asdict())
 
 
-class RemovalTrace(_Record):
-    def __init__(
-        self, name, group_labels, initial_diag, seed=None, events=None,
-        final_manifest=None,
-    ):
-        self.name = name
-        self.group_labels = group_labels
-        self.initial_diag = initial_diag
-        self.seed = seed
-        self.events = [] if events is None else events
-        self.final_manifest = final_manifest
+class RemovalTrace(SimpleNamespace):
+    def __init__(self, name, group_labels, initial_diag, seed=None, events=None,
+                 final_manifest=None):
+        super().__init__(
+            name=name, group_labels=group_labels, initial_diag=initial_diag, seed=seed,
+            events=[] if events is None else events, final_manifest=final_manifest,
+        )
+
+    def __reduce__(self):
+        # SimpleNamespace's would rebuild a trace by calling it with no arguments
+        return copyreg.__newobj__, (type(self),), vars(self)
 
     def removed_ids(self):
         return [event.identity_id for event in self.events]
@@ -176,50 +151,6 @@ class _ExactSum:
         return _FSUM_NEG_ZEROS if self.zeros[1] and not self.zeros[0] else 0.0
 
 
-class _DiagTracker:
-    """Diagonal of a shrinking manifest, from ``own``, the own-group scores
-    by identity index. Per group it keeps the survivor count, the exact sum
-    of their own-group scores, and the entry: the sum divided by the count
-    under group-mean protocols, the raw sum otherwise, and 0.0 for an
-    emptied group."""
-
-    def __init__(self, manifest, own, group_mean):
-        self.labels = manifest.groups.labels
-        self.group_mean = group_mean
-        self.counts = list(manifest.group_counts)
-        self.sums = [_ExactSum() for _ in self.labels]
-        for g, value in zip(manifest._identity_groups, own):
-            self.sums[g].add(value)
-        self.diag = [self._entry(g) for g in range(len(self.labels))]
-        # the diagonal as of the last event, which is the next one's before
-        self.last = tuple(self.diag)
-
-    def _entry(self, g):
-        count = self.counts[g]
-        if not count:
-            return 0.0
-        total = self.sums[g].value()
-        return total / count if self.group_mean else total
-
-    def remove(self, step, ident, g, own_value):
-        """Drop one survivor of group ``g`` and return the step's event.
-        Its ``diag_before`` is the previous ``diag_after`` tuple itself, and
-        its ``diag_after`` shares every entry but ``g`` with it."""
-        before = self.last
-        self.counts[g] -= 1
-        self.sums[g].remove(own_value)
-        self.diag[g] = self._entry(g)
-        self.last = tuple(self.diag)
-        return RemovalEvent(
-            step=step,
-            identity_id=ident,
-            group=self.labels[g],
-            own_group_ids=own_value,
-            diag_before=before,
-            diag_after=self.last,
-        )
-
-
 def _members(manifest):
     """Each group's identity indices, in first-appearance order."""
     members = [[] for _ in manifest.groups.labels]
@@ -230,16 +161,38 @@ def _members(manifest):
 
 def _run(manifest, own, name, group_mean, picks, seed=None):
     """The removal loop of every fast sampler: one event per ``(group
-    index, identity index)`` that ``picks(tracker)`` yields, with ``own``
-    the own-group scores by identity index. Returns ``(subset, trace)``; the
-    subset is ``manifest`` itself when nothing was removed. A SamplingError
-    from ``picks`` leaves with the partial trace attached."""
-    ids = manifest._identity_ids
-    tracker = _DiagTracker(manifest, own, group_mean)
-    trace = RemovalTrace(name, tracker.labels, tracker.last, seed)
+    index, identity index)`` that ``picks(diag, counts)`` yields, with ``own``
+    the own-group scores by identity index. Per group it keeps the survivor
+    count, the exact sum of their scores and the diagonal entry: the mean
+    under group-mean protocols, else the sum, and 0.0 for an emptied group.
+    Returns ``(subset, trace)``; the subset is ``manifest`` itself when nothing
+    was removed. A SamplingError from ``picks`` leaves with the partial trace."""
+    ids, labels = manifest._identity_ids, manifest.groups.labels
+    counts = list(manifest.group_counts)
+    sums = [_ExactSum() for _ in labels]
+    for g, value in zip(manifest._identity_groups, own):
+        sums[g].add(value)
+
+    def entry(g):
+        if not counts[g]:
+            return 0.0
+        total = sums[g].value()
+        return total / counts[g] if group_mean else total
+
+    diag = [entry(g) for g in range(len(labels))]
+    # the diagonal as of the last event: each event's diag_before is the
+    # previous one's diag_after tuple itself
+    after = tuple(diag)
+    trace = RemovalTrace(name, labels, after, seed)
     try:
-        for step, (g, j) in enumerate(picks(tracker), start=1):
-            trace.events.append(tracker.remove(step, ids[j], g, own[j]))
+        for step, (g, j) in enumerate(picks(diag, counts), start=1):
+            counts[g] -= 1
+            sums[g].remove(own[j])
+            diag[g] = entry(g)
+            before, after = after, tuple(diag)
+            trace.events.append(
+                RemovalEvent(step, ids[j], labels[g], own[j], before, after)
+            )
     except SamplingError as exc:
         exc.partial_trace = trace
         raise
@@ -267,8 +220,7 @@ def sample_protocol(manifest, protocol, z):
     # scores keep first-appearance order
     queues = [iter(sorted(m, key=own.__getitem__)) for m in _members(manifest)]
 
-    def picks(tracker):
-        diag, counts = tracker.diag, tracker.counts
+    def picks(diag, counts):
         for step in range(1, z + 1):
             target = _pick_target(diag, counts, group_mean)
             if group_mean and counts[target] == 1:
@@ -336,6 +288,16 @@ def sample_naive(manifest, protocol, z):
     return current, trace
 
 
+def _generator(seed, caller):
+    """SplitMix64 from ``seed``, an integer in [0, 2^64), for ``caller``."""
+    if seed is None:
+        raise SamplingError(f"{caller} requires an explicit seed")
+    try:
+        return SplitMix64(seed)
+    except ValueError as exc:
+        raise SamplingError(str(exc)) from None
+
+
 def sample_random(manifest, z, seed):
     """Remove ``z`` identities uniformly at random, keeping per-group removal
     counts as equal as possible.
@@ -345,8 +307,7 @@ def sample_random(manifest, z, seed):
     extra removal). Identical seeds give identical results.
     """
     _check_budget(z)
-    if seed is None:
-        raise SamplingError("sample_random requires an explicit seed")
+    rng = _generator(seed, "sample_random")
     total = manifest.identity_count
     if z >= total:
         raise SamplingError(f"budget {z} would remove every identity ({total} available)")
@@ -375,8 +336,6 @@ def sample_random(manifest, z, seed):
                 "not enough groups can afford an extra removal "
                 f"(need {remainder}, have {len(eligible)})"
             )
-
-    rng = SplitMix64(seed)
     extras = set(rng.sample(eligible, remainder)) if remainder else set()
 
     removals = []
@@ -384,7 +343,7 @@ def sample_random(manifest, z, seed):
         take = quota + (1 if g in extras else 0)
         removals.extend((g, j) for j in sorted(rng.sample(members, take)))
     own = manifest._own_column(mean=True)
-    return _run(manifest, own, "random", True, lambda _: removals, seed)
+    return _run(manifest, own, "random", True, lambda *_: removals, seed)
 
 
 _SINGLE_STRATEGIES = ("min", "max", "rand")
@@ -416,9 +375,7 @@ def sample_single_group(manifest, group, strategy, keep_fraction, seed=None):
     keep = math.ceil(keep_fraction * len(members))
     own = manifest._own_column(mean=True)
     if strategy == "rand":
-        if seed is None:
-            raise SamplingError("strategy 'rand' requires an explicit seed")
-        kept = set(SplitMix64(seed).sample(members, keep))
+        kept = set(_generator(seed, "strategy 'rand'").sample(members, keep))
     else:
         # a stable sort of the members, which are in identity order, so
         # equal scores keep first-appearance order under both strategies
@@ -428,7 +385,7 @@ def sample_single_group(manifest, group, strategy, keep_fraction, seed=None):
     removals = [(g, j) for j in members if j not in kept]
     name = f"single-{strategy}-{manifest.groups.labels[g]}"
     seed = seed if strategy == "rand" else None
-    return _run(manifest, own, name, True, lambda _: removals, seed)
+    return _run(manifest, own, name, True, lambda *_: removals, seed)
 
 
 def equilibrium_step(trace, epsilon):
@@ -510,27 +467,26 @@ def write_evolution(trace, path):
 def read_diag_series(path):
     """Diagonal series from a removal log or an evolution file.
 
-    A header that starts ``step,identity_id,group,own_group_ids`` is a log,
-    read from the after half of its diagonal columns, ``diag_<label>_after``;
-    any other must be ``step`` and then ``diag_<label>`` columns only.
+    A header that starts ``step,identity_id,group,own_group_ids`` is a log:
+    ``diag_<label>_before`` columns and then ``diag_<label>_after`` columns
+    with the same labels in the same order, and the after half is read. Any
+    other must be ``step`` and then ``diag_<label>`` columns only.
 
     Returns (group_labels, [(step, diag), ...]) with step 0 rows skipped, so
     the result is directly usable with :func:`equilibrium_step`.
     """
+    prefix = ("step", "identity_id", "group", "own_group_ids")
     with read_csv(path, SamplingError, (), "") as (header, records):
-        if header[:4] == ("step", "identity_id", "group", "own_group_ids"):
-            diag_count = len(header) - 4
-            first, suffix = 4 + diag_count // 2, "_after"
-            ok = diag_count and not diag_count % 2
+        if header[:4] == prefix:
+            first, halves = (len(header) + 4) // 2, ("_before", "_after")
         else:
-            first, suffix = 1, ""
-            ok = header[:1] == ("step",) and len(header) > 1
-        names = header[first:]
-        if not ok or not all(
-            name.startswith("diag_") and name.endswith(suffix) for name in names
-        ):
+            first, prefix, halves = 1, ("step",), ("",)
+        suffix = halves[-1]
+        labels = tuple(n[len("diag_"):len(n) - len(suffix)] for n in header[first:])
+        # either kind of header is rebuilt from its own labels
+        expected = (*prefix, *(f"diag_{g}{half}" for half in halves for g in labels))
+        if not labels or header != expected:
             raise SamplingError(f"{path}: not a removal log or evolution file")
-        labels = tuple(name[len("diag_"):len(name) - len(suffix)] for name in names)
         series = []
         for lineno, row in records:
             try:

@@ -1133,17 +1133,31 @@ class TestEquilibrium:
         assert err.startswith("error:") and "evo.csv: line 3:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "before", ["foo,bar", "diag_x_before,diag_b_before", "diag_b_before,diag_a_before"]
+    )
+    def test_log_needs_a_matching_before_half(self, capsys, tmp_path, before):
+        trace = tmp_path / "log.csv"
+        trace.write_text(
+            f"step,identity_id,group,own_group_ids,{before},diag_a_after,diag_b_after\n"
+            "1,x,a,0.5,0.5,0.5,0.6,0.6\n"
+        )
+        code, _, err = run(
+            capsys, "equilibrium", "--trace", str(trace), "--epsilon", "0.1"
+        )
+        assert code == 1
+        assert "not a removal log or evolution file" in err
+        assert "Traceback" not in err
+
 
 class TestModuleInvocation:
     def test_python_dash_m_works(self, plain_manifest, tmp_path):
-        import subprocess
-        import sys
-
         result = subprocess.run(
             [sys.executable, "-m", "fairbalance", "validate",
              str(plain_manifest)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["identities"] == 20

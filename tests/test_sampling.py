@@ -308,6 +308,14 @@ class TestSampleRandom:
         with pytest.raises(SamplingError, match="explicit seed"):
             sample_random(two_groups, 1, None)
 
+    @pytest.mark.parametrize("seed", [1.7, True, "1", -1, 2**64])
+    def test_seed_must_be_an_integer_in_64_bits(self, seed):
+        m = self.make_balanced()
+        with pytest.raises(SamplingError, match=r"seed must be in \[0, 2\*\*64\)"):
+            sample_random(m, 3, seed)
+        with pytest.raises(SamplingError, match=r"seed must be in \[0, 2\*\*64\)"):
+            sample_single_group(m, "g0", "rand", 0.5, seed=seed)
+
     def test_deterministic_per_seed(self):
         m = self.make_balanced()
         a = sample_random(m, 6, seed=3)

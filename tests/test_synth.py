@@ -51,7 +51,9 @@ class TestSplitMix64:
             0x883EBCE5A3F27C77,
         ]
 
-    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5, -(1 << 70)])
+    @pytest.mark.parametrize(
+        "seed", [-1, 1 << 64, (1 << 64) + 5, -(1 << 70), True, 1.7, "1"]
+    )
     def test_seed_outside_64_bits_is_rejected(self, seed):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             SplitMix64(seed)
