@@ -2,6 +2,7 @@
 warnings."""
 
 import csv
+import io
 import os
 import sys
 import tempfile
@@ -57,34 +58,50 @@ def write_csv(path, header, rows):
     ``path`` through :func:`atomic_write`, in the bytes of ``csv.writer``
     with LF line ends. Cells are ``str``, ``int`` or ``float``; a float is
     written as its ``repr``, the shortest decimal string that round-trips
-    to the same double.
+    to the same double."""
+    with atomic_write(path) as handle:
+        handle.writelines(csv_chunks(header, rows))
 
-    Rows go out ``CHUNK`` at a time. A chunk whose rows all have the
-    header's width is formatted as one string, ``%s`` per cell, and written
-    whole when that string holds no ``"`` or CR and exactly the commas and
-    line ends of its cell and row breaks, so no cell needs quoting; any
-    other chunk goes through ``csv.writer``."""
+
+def csv_chunks(header, rows):
+    """The text :func:`write_csv` writes for ``header`` and ``rows``, one
+    string per ``CHUNK`` records."""
     rows = chain((header,), rows)
     width = len(header)
-    row_format = ",".join(["%s"] * width)
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for chunk in iter(lambda: list(islice(rows, CHUNK)), []):
-            n = len(chunk)
-            # a lone empty cell is written as ""
-            if width > 1 and set(map(len, chunk)) == {width}:
-                text = "\n".join([row_format] * n) % tuple(chain.from_iterable(chunk))
-                if (
-                    text.count(",") == (width - 1) * n
-                    and text.count("\n") == n - 1
-                    and '"' not in text
-                    # quoted by csv.writer on some Python versions
-                    and "\r" not in text
-                ):
-                    handle.write(text)
-                    handle.write("\n")
-                    continue
-            writer.writerows(chunk)
+    for chunk in iter(lambda: list(islice(rows, CHUNK)), []):
+        yield csv_text(chunk, width)
+
+
+def csv_text(rows, width):
+    """The text of the records ``rows``, a non-empty list, each ended by
+    LF, as ``csv.writer`` writes them under a header of ``width`` columns.
+
+    When every record has that width, the records are formatted as one
+    string, ``%s`` per cell, and that string is the result when it holds no
+    ``"`` or CR and exactly the commas and line ends of its cell and row
+    breaks, so no cell needs quoting; anything else goes through
+    ``csv.writer``."""
+    n = len(rows)
+    # a lone empty cell is written as ""
+    if width > 1 and set(map(len, rows)) == {width}:
+        row_format = ",".join(["%s"] * width)
+        text = "\n".join([row_format] * n) % tuple(chain.from_iterable(rows))
+        if (
+            text.count(",") == (width - 1) * n
+            and text.count("\n") == n - 1
+            and '"' not in text
+            # quoted by csv.writer on some Python versions
+            and "\r" not in text
+        ):
+            return text + "\n"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def field_limit():
+    """The longest field, in characters, that :func:`read_csv` reads."""
+    return csv.field_size_limit()
 
 
 @contextmanager

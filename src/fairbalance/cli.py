@@ -174,7 +174,21 @@ def _sample_budget(args, manifest):
     return manifest.identity_count - target
 
 
+def _distinct_outputs(args):
+    """Refuse, as a usage error, two of ``--out``, ``--log`` and
+    ``--evolution`` that name one file: the later write would replace the
+    earlier one."""
+    flags = {}
+    for flag in ("out", "log", "evolution"):
+        path = getattr(args, flag, None)
+        if path:
+            first = flags.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                raise _UsageError(f"--{first} and --{flag} name the same file: {path}")
+
+
 def _cmd_sample(args):
+    _distinct_outputs(args)
     manifest = _load(args)
     if args.relabel_first:
         manifest = relabel(manifest)
@@ -194,6 +208,7 @@ def _cmd_sample(args):
 
 
 def _cmd_single(args):
+    _distinct_outputs(args)
     if args.strategy == "rand" and args.seed is None:
         raise _UsageError("--strategy rand requires --seed")
     if args.strategy != "rand" and args.seed is not None:

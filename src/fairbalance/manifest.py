@@ -14,9 +14,9 @@ from array import array
 from collections import Counter, namedtuple
 from collections.abc import Mapping, Sequence
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, le, sub, truediv
+from operator import add, le, or_, sub, truediv
 
-from ._util import read_csv, warn, write_csv
+from ._util import read_csv, warn
 from .errors import InternalInvariantError, ManifestError
 
 # accepted deviation of a raw row's score sum from 1, before renormalization
@@ -78,6 +78,33 @@ class IdentityRecord(namedtuple("IdentityRecord", "identity_id group image_ids")
         return len(self.image_ids)
 
 
+class _Source(namedtuple("_Source", "path key count rows marks")):
+    """Where a manifest's rows can be copied from: the CSV at the absolute
+    ``path``, whose sidecar, stored by ``write_manifest`` under ``key``,
+    says that its line r + 1 is the formatting of its row r, for each of its
+    ``count`` rows. Per manifest row, in ``bytes`` ``marks`` and the
+    ascending sequence ``rows``: 1 where the row must be formatted anew, and
+    its row in the source."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of_file(cls, path, key, count):
+        """The source of a manifest that is every row of the CSV ``path``."""
+        return cls(path, key, count, range(count), bytes(count))
+
+    def kept(self, row_keep):
+        """The source of the manifest's rows where ``row_keep`` is 1."""
+        return self._replace(
+            rows=array("I", compress(self.rows, row_keep)),
+            marks=bytes(compress(self.marks, row_keep)),
+        )
+
+    def moved(self, row_marks):
+        """The source with the rows where ``row_marks`` is 1 marked too."""
+        return self._replace(marks=bytes(map(or_, self.marks, row_marks)))
+
+
 class Manifest:
     """Validated image collection, held as columns.
 
@@ -89,7 +116,8 @@ class Manifest:
     ``ImageRecord`` or ``IdentityRecord`` on access.
 
     Equality compares the groups and the rows; ``identities``,
-    ``group_counts`` and ``rejected_rows`` are excluded. Construct through
+    ``group_counts``, ``rejected_rows`` and the source that
+    ``write_manifest`` may copy rows from are excluded. Construct through
     :meth:`from_images` or :func:`load_manifest`; both enforce the
     invariants, the loader in the same pass that parses the rows.
     """
@@ -129,13 +157,15 @@ class Manifest:
         identity_ids,
         identity_groups,
         rejected_rows=0,
+        source=None,
     ):
         """Manifest over columns that already hold every row invariant
         (unique non-empty ids, in-range groups, normalized scores, one group
         per identity): per row ``image_ids``, ``row_identity`` (an index into
         ``identity_ids``) and ``d`` doubles of ``scores``; per identity
         ``identity_ids`` and ``identity_groups``. The columns are kept, not
-        copied, and must not change afterwards."""
+        copied, and must not change afterwards. ``source`` is the
+        ``_Source`` of the rows, if any."""
         n = len(image_ids)
         if (
             len(row_identity) != n
@@ -159,6 +189,7 @@ class Manifest:
         self._index = None
         self.group_counts = tuple(identity_groups.count(g) for g in range(groups.d))
         self._rows = None
+        self._source = source
         return self
 
     @property
@@ -219,6 +250,7 @@ class Manifest:
             array("d", compress(self._scores, score_keep)),
             list(compress(self._identity_ids, keep)),
             array("I", compress(self._identity_groups, keep)),
+            source=None if self._source is None else self._source.kept(row_keep),
         )
 
     def identities_of_group(self, group_index):
@@ -512,22 +544,35 @@ def _check_groups(path, labels, groups):
 
 
 def write_manifest(manifest, path):
-    """Write the manifest back to CSV (UTF-8, LF, shortest float repr)."""
+    """Write the manifest back to CSV (UTF-8, LF, shortest float repr) and
+    store its sidecar. A manifest whose rows come from a CSV that this
+    function wrote copies their lines from it; see ``_sidecar.write``."""
     if not manifest.images:
         raise ManifestError("refusing to write an empty manifest")
+    from . import _sidecar
+
+    _sidecar.write(manifest, path, [*_FIXED_COLUMNS, *manifest.groups.score_columns()])
+
+
+def _records(manifest, rows=None):
+    """The CSV records of the manifest's rows: every row in order, or the
+    row indices ``rows``."""
     labels = manifest.groups.labels
     ids, groups = manifest._identity_ids, manifest._identity_groups
-    # the flat score column, d doubles at a time
-    vectors = zip(*[iter(manifest._scores)] * manifest.groups.d)
-    write_csv(
-        path,
-        [*_FIXED_COLUMNS, *manifest.groups.score_columns()],
-        (
-            [image_id, ids[j], labels[groups[j]], *vector]
-            for image_id, j, vector in zip(
-                manifest._image_ids, manifest._row_identity, vectors
-            )
-        ),
+    d = manifest.groups.d
+    image_ids, row_identity, scores = (
+        manifest._image_ids, manifest._row_identity, manifest._scores
+    )
+    if rows is None:
+        # the flat score column, d doubles at a time
+        vectors = zip(*[iter(scores)] * d)
+    else:
+        image_ids = map(image_ids.__getitem__, rows)
+        row_identity = map(row_identity.__getitem__, rows)
+        vectors = (scores[r * d:r * d + d] for r in rows)
+    return (
+        [image_id, ids[j], labels[groups[j]], *vector]
+        for image_id, j, vector in zip(image_ids, row_identity, vectors)
     )
 
 

@@ -6,16 +6,25 @@ trains or evaluates a model.
 """
 
 import math
+import os
+import stat
 from array import array
+from codecs import BOM_UTF8
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from itertools import chain, compress, groupby
 from operator import attrgetter
 
-from ._util import read_csv, write_csv
+from ._util import field_limit, read_csv, write_csv
 from .errors import MetricsError
 
 _MODES = ("outcomes", "similarity")
+# bytes read per bulk step of read_pairs_csv
+PAIR_CHUNK = 1 << 14
+_FLAGS = frozenset((b"0", b"1"))
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
+# every byte but the comma and LF
+_NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n"))
 
 
 class PairRecord(
@@ -274,13 +283,109 @@ def pareto_frontier(points):
 def read_pairs_csv(path, mode):
     """Load verification pairs: ``group,correct`` for outcomes mode,
     ``group,similarity,is_genuine`` for similarity mode (flags are 0/1).
-    Returns a read-only sequence of ``PairRecord``s."""
+    Returns a read-only sequence of ``PairRecord``s.
+
+    A regular file whose header is exactly those columns is read
+    ``PAIR_CHUNK`` bytes of whole lines at a time, each chunk in bulk; when
+    a chunk is not clean, the whole file is read again one record at a
+    time, which gives every error its message and line number."""
     if mode not in _MODES:
         raise MetricsError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    similarity = mode == "similarity"
     columns = (
-        ("group", "similarity", "is_genuine") if similarity else ("group", "correct")
+        ("group", "similarity", "is_genuine")
+        if mode == "similarity"
+        else ("group", "correct")
     )
+    table = _read_pairs_bulk(path, mode, columns)
+    if table is None:
+        table = _read_pairs_rows(path, mode, columns)
+    if not table:
+        raise MetricsError(f"{path}: no pairs")
+    return table
+
+
+def _read_pairs_bulk(path, mode, columns):
+    """The pairs of ``path`` read ``PAIR_CHUNK`` bytes of lines at a time,
+    or None when it is not a regular file, cannot be read, or its header is
+    not exactly ``columns`` or a chunk is not clean (see ``_extend_clean``)."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        handle = open(path, "rb")
+    except (OSError, TypeError, ValueError):
+        return None
+    table = _PairTable(mode)
+    # group index by the label's bytes
+    index = {}
+    header = ",".join(columns).encode() + b"\n"
+    limit = field_limit()
+    with handle:
+        try:
+            if handle.readline(len(header) + 4) not in (header, BOM_UTF8 + header):
+                return None
+            pending = b""
+            while data := handle.read(PAIR_CHUNK):
+                data = pending + data
+                # no field in a chunk is longer than the csv module reads
+                if len(data) > limit:
+                    return None
+                end = data.rfind(b"\n") + 1
+                pending = data[end:]
+                if not _extend_clean(table, index, data[:end], len(columns)):
+                    return None
+        except OSError:
+            return None
+    # the last line has no line end
+    return None if pending else table
+
+
+def _extend_clean(table, index, data, width):
+    """Add the pairs of ``data``, whole lines of ``width`` cells each, to
+    ``table`` and return True when they are clean: no ``"``, CR or NUL,
+    every line ends in LF and has exactly ``width - 1`` commas, no group is
+    empty or outside UTF-8, each flag is exactly ``0`` or ``1`` and each
+    similarity is a finite ``float()``. Then they are the records the CSV
+    reader reads and the per-row reader accepts. Otherwise return False,
+    maybe with some labels registered. ``index`` maps a label's bytes to its
+    group index."""
+    n = data.count(b"\n")
+    if (
+        b'"' in data
+        or b"\r" in data
+        or b"\0" in data
+        or data.translate(None, _NOT_SEPARATORS) != (b"," * (width - 1) + b"\n") * n
+    ):
+        return False
+    cells = data.replace(b"\n", b",").split(b",")
+    cells.pop()  # after the last line end
+    groups, flags = cells[::width], cells[width - 1::width]
+    if b"" in groups or not _FLAGS.issuperset(flags):
+        return False
+    if table.mode == "similarity":
+        try:
+            values = array("d", map(float, cells[1::width]))
+        except ValueError:
+            return False
+        if not all(map(math.isfinite, values)):
+            return False
+    # new labels are registered in first-appearance order
+    if not index.keys() >= set(groups):
+        for label in dict.fromkeys(groups):
+            if label not in index:
+                try:
+                    index[label] = table.group_index(label.decode())
+                except UnicodeDecodeError:
+                    return False
+    table.groups.extend(map(index.__getitem__, groups))
+    table.flags += b"".join(flags).translate(_FLAG_BYTES)
+    if table.mode == "similarity":
+        table.similarities.extend(values)
+    return True
+
+
+def _read_pairs_rows(path, mode, columns):
+    """The pairs of ``path`` read one record at a time."""
+    similarity = mode == "similarity"
     table = _PairTable(mode)
     with read_csv(path, MetricsError, columns) as (_, records):
         for lineno, row in records:
@@ -298,8 +403,6 @@ def read_pairs_csv(path, mode):
                     f"{path}: line {lineno}: malformed value"
                 ) from None
             table.append(table.group_index(row[0]), flag, value)
-    if not table:
-        raise MetricsError(f"{path}: no pairs")
     return table
 
 

@@ -17,7 +17,7 @@ from array import array
 from collections import namedtuple
 from enum import Enum
 from itertools import compress
-from operator import gt, itemgetter
+from operator import gt, itemgetter, ne
 
 from ._util import warn, write_csv
 from .errors import ScoringError
@@ -121,7 +121,9 @@ def relabel(manifest):
     the lowest group index. Labels feed only the group assignment, never the
     scores, so applying this twice changes nothing. Moving whole identities
     between groups cannot break a row invariant, so the rows are not
-    validated again, and the result shares the row columns.
+    validated again, and the result shares the row columns. The rows of the
+    identities that moved are marked in the source that ``write_manifest``
+    copies the others from.
     """
     best, *others = manifest._score_columns(mean=True)
     groups = array("I", [0]) * len(best)
@@ -131,6 +133,11 @@ def relabel(manifest):
         for j in compress(range(len(best)), map(gt, column, best)):
             best[j] = column[j]
             groups[j] = c
+    source = manifest._source
+    if source is not None:
+        moved = bytes(map(ne, manifest._identity_groups, groups))
+        if any(moved):
+            source = source.moved(bytes(map(moved.__getitem__, manifest._row_identity)))
     return Manifest._of_columns(
         manifest.groups,
         manifest._image_ids,
@@ -138,6 +145,7 @@ def relabel(manifest):
         manifest._scores,
         manifest._identity_ids,
         groups,
+        source=source,
     )
 
 

@@ -716,7 +716,7 @@ class TestOutputPaths:
 
 class TestOutputModes:
     """Every output gets the mode a plain ``open`` gives under the umask;
-    a manifest's sidecar stays readable by its owner only."""
+    the sidecar of each manifest written stays readable by its owner only."""
 
     # every command that writes a file, with each of its output flags
     WRITERS = [
@@ -752,7 +752,9 @@ class TestOutputModes:
         finally:
             os.umask(previous)
         modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
-        assert modes.pop(".synth.csv.fbcache") == 0o600
+        # write_manifest stores a sidecar beside each manifest it writes
+        for name in ("synth.csv", "relabelled.csv", "subset.csv", "single.csv"):
+            assert modes.pop(f".{name}.fbcache") == 0o600, name
         assert len(modes) == 13
         assert set(modes.values()) == {0o666 & ~umask}, modes
 
@@ -1068,6 +1070,64 @@ class TestFlagContract:
         assert exc.value.code == 2
         assert f"error: {problem}\n" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOneFileForTwoOutputs:
+    """Two output flags of ``sample`` or ``single`` that name one file, however
+    spelled, are a usage error found before any file is read: the later
+    write would replace the earlier one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "{manifest}", "--protocol", "random", "--remove", "3",
+             "--seed", "1", "--out", "{first}", "--log", "{second}"],
+            ["sample", "{manifest}", "--protocol", "A", "--remove", "3",
+             "--out", "{first}", "--evolution", "{second}"],
+            ["sample", "{manifest}", "--protocol", "A", "--remove", "3",
+             "--log", "{first}", "--evolution", "{second}", "--out", "{other}"],
+            ["single", "{manifest}", "--group", "g1", "--strategy", "min",
+             "--keep-fraction", "0.5", "--log", "{first}", "--out", "{second}"],
+        ],
+        ids=["sample-out-log", "sample-out-evolution", "sample-log-evolution",
+             "single-log-out"],
+    )
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_exits_two_before_reading(
+        self, capsys, monkeypatch, plain_manifest, tmp_path, argv, spelling
+    ):
+        first = tmp_path / "x.csv"
+        second = {
+            "same": first,
+            "dotted": tmp_path / "." / "sub" / ".." / "x.csv",
+            "symlink": tmp_path / "link.csv",
+        }[spelling]
+        (tmp_path / "sub").mkdir()
+        if spelling == "symlink":
+            second.symlink_to(first)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("read a file")
+
+        monkeypatch.setattr("fairbalance.cli.load_manifest", refuse)
+        names = {"manifest": plain_manifest, "first": first, "second": second,
+                 "other": tmp_path / "other.csv"}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**names) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "name the same file" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["sub"] + (["link.csv"] if spelling == "symlink" else [])
+        )
+
+    def test_distinct_outputs_still_run(self, capsys, plain_manifest, tmp_path):
+        code, _, err = run(
+            capsys, "sample", str(plain_manifest), "--protocol", "A", "--remove",
+            "2", "--out", str(tmp_path / "s.csv"), "--log", str(tmp_path / "l.csv"),
+            "--evolution", str(tmp_path / "e.csv"),
+        )
+        assert code == 0, err
 
 
 class TestDuplicateGroupFlags:

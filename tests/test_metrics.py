@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import os
 import random
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +27,7 @@ from fairbalance import (
     runs_to_points,
     write_frontier_csv,
 )
+from fairbalance import metrics
 from fairbalance.metrics import _best_threshold_accuracy
 
 from _oracles import (
@@ -479,6 +483,122 @@ class TestCsvInterfaces:
         )
         with pytest.raises(MetricsError, match="line 4: non-numeric accuracy"):
             read_runs_csv(str(path))
+
+
+# A fault in one line of a pairs file, and what it does to a clean line
+# "<group>,<similarity>,<flag>" (or "<group>,<flag>"); each is either valid
+# CSV that only the per-row reader takes, or an error it reports.
+PAIR_FAULTS = {
+    "quote": lambda cells: '"' + cells[0] + ',q"' + "," + ",".join(cells[1:]) + "\n",
+    "quoted": lambda cells: '"' + cells[0] + '"' + "," + ",".join(cells[1:]) + "\n",
+    "cr": lambda cells: ",".join(cells) + "\r\n",
+    "blank": lambda cells: "\n" + ",".join(cells) + "\n",
+    "nan": lambda cells: ",".join([cells[0], "nan", *cells[2:]]) + "\n",
+    "inf": lambda cells: ",".join([cells[0], "1e999", *cells[2:]]) + "\n",
+    "space": lambda cells: ",".join([cells[0], " " + cells[1], *cells[2:]]) + "\n",
+    "flag-2": lambda cells: ",".join([*cells[:-1], "2"]) + "\n",
+    "flag-01": lambda cells: ",".join([*cells[:-1], "01"]) + "\n",
+    "empty-group": lambda cells: ",".join(["", *cells[1:]]) + "\n",
+    "wide": lambda cells: ",".join([*cells, "x"]) + "\n",
+    "narrow": lambda cells: ",".join(cells[:-1]) + "\n",
+    "no-line-end": lambda cells: ",".join(cells),
+    "not-utf8": lambda cells: ",".join(["\udcff", *cells[1:]]) + "\n",
+    "non-ascii": lambda cells: ",".join(["gé", *cells[1:]]) + "\n",
+}
+
+
+def read_pairs_outcome(path, mode):
+    """What read_pairs_csv gives: the table's columns, or the message."""
+    try:
+        table = read_pairs_csv(str(path), mode)
+    except MetricsError as exc:
+        return str(exc)
+    return (
+        table.labels,
+        list(table.groups),
+        [value.hex() for value in table.similarities],
+        bytes(table.flags),
+    )
+
+
+class TestBulkPairs:
+    """read_pairs_csv reads clean chunks in bulk; any other file is read one
+    record at a time, with the same columns, messages and line numbers."""
+
+    @pytest.mark.parametrize("mode", ["similarity", "outcomes"])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        count=st.integers(1, 30),
+        chunk=st.integers(8, 120),
+        faults=st.lists(
+            st.tuples(st.sampled_from(sorted(PAIR_FAULTS)), st.integers(0, 29)),
+            max_size=2,
+        ),
+        bom=st.booleans(),
+    )
+    def test_same_as_the_per_row_reader(
+        self, tmp_path_factory, mode, data, count, chunk, faults, bom
+    ):
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        lines = []
+        for _ in range(count):
+            cells = [rng.choice(["g0", "g 1", "g2"])]
+            if mode == "similarity":
+                cells.append(rng.choice(["0.5", "-0.0", "1e-3", repr(rng.random())]))
+            cells.append(rng.choice("01"))
+            lines.append(cells)
+        text = [",".join(cells) + "\n" for cells in lines]
+        # a fault on either side of a chunk boundary, at any line
+        for kind, at in faults:
+            at %= count
+            text[at] = PAIR_FAULTS[kind](lines[at])
+        header = "group,similarity,is_genuine" if mode == "similarity" else "group,correct"
+        body = ("\ufeff" if bom else "") + header + "\n" + "".join(text)
+        path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
+        path.write_bytes(body.encode("utf-8", "surrogateescape"))
+
+        with mock.patch.object(metrics, "PAIR_CHUNK", chunk):
+            got = read_pairs_outcome(path, mode)
+        with mock.patch.object(metrics, "_read_pairs_bulk", lambda *_: None):
+            expected = read_pairs_outcome(path, mode)
+        assert got == expected
+
+    def test_clean_file_never_reaches_the_per_row_reader(self, tmp_path):
+        rng = random.Random(3)
+        path = tmp_path / "pairs.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("group,similarity,is_genuine\n")
+            for k in range(20_000):
+                handle.write(f"g{k % 4},{rng.gauss(0.5, 0.2):.4f},{k % 3 % 2}\n")
+
+        def refuse(*_args):
+            raise AssertionError("read one record at a time")
+
+        with mock.patch.object(metrics, "_read_pairs_rows", refuse):
+            bulk = read_pairs_outcome(path, "similarity")
+        assert len(bulk[1]) == 20_000
+        with mock.patch.object(metrics, "_read_pairs_bulk", lambda *_: None):
+            assert read_pairs_outcome(path, "similarity") == bulk
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_read_once_record_by_record(self, tmp_path):
+        # a pipe read in bulk could not be read again after an unclean chunk
+        fifo = tmp_path / "pairs.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_text, args=("group,correct\ng,1\ng,0\n",)
+        )
+        writer.start()
+        with mock.patch("builtins.open", wraps=open) as opened:
+            try:
+                pairs = read_pairs_csv(str(fifo), "outcomes")
+            finally:
+                writer.join()
+        assert [c for c in opened.call_args_list if c.args[0] == str(fifo)] == [
+            mock.call(str(fifo), encoding="utf-8-sig", newline="")
+        ]
+        assert group_accuracy(pairs, "outcomes") == {"g": 0.5}
 
 
 class TestReportedFixture:
