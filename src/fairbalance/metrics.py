@@ -9,6 +9,7 @@ import math
 import os
 import stat
 from array import array
+from bisect import bisect_left
 from codecs import BOM_UTF8
 from collections import Counter, namedtuple
 from collections.abc import Sequence
@@ -106,7 +107,7 @@ def group_accuracy(pairs, mode):
     if similarity:
         # per group: (impostor, genuine) similarities, indexed by the flag;
         # flat arrays, so float objects exist for one group at a time, in
-        # the sweep's sort
+        # the threshold search's sort
         sides = [(array("d"), array("d")) for _ in table.labels]
         for g, value, flag in zip(table.groups, table.similarities, table.flags):
             sides[g][flag].append(value)
@@ -128,7 +129,7 @@ def group_accuracy(pairs, mode):
                 f"group {group!r}: similarity mode needs both genuine "
                 "and impostor pairs"
             )
-        # a NaN equals nothing, so the sweep could never step past it
+        # a NaN orders against nothing, so the sorted sides would be wrong
         if not all(map(math.isfinite, chain(genuine, impostor))):
             raise MetricsError(f"group {group!r}: non-finite similarity")
         result[group] = _best_threshold_accuracy(genuine, impostor)
@@ -161,28 +162,18 @@ def _as_table(pairs, mode):
 
 def _best_threshold_accuracy(genuine, impostor):
     """Best single-threshold accuracy, predicting genuine at or above the
-    threshold. Sweeps from below the minimum (everything genuine) upwards;
-    crossing a value flips all its pairs to the impostor side. The two
-    sides are sorted apart and merged one distinct value at a time."""
-    genuine = sorted(genuine)
-    impostor = sorted(impostor)
-    n_genuine, n_impostor = len(genuine), len(impostor)
-    correct = best = n_genuine
-    i = j = 0
-    while i < n_genuine or j < n_impostor:
-        if j == n_impostor or (i < n_genuine and genuine[i] <= impostor[j]):
-            value = genuine[i]
-        else:
-            value = impostor[j]
-        while i < n_genuine and genuine[i] == value:
-            i += 1
-            correct -= 1
-        while j < n_impostor and impostor[j] == value:
-            j += 1
-            correct += 1
-        if correct > best:
-            best = correct
-    return best / (n_genuine + n_impostor)
+    threshold. A threshold at a genuine value v gets right the genuine pairs
+    at or above v and the impostor pairs below it; one above every value
+    gets every impostor right. Any other threshold can rise to the next
+    genuine value, or past the top, losing no genuine pair, so one of these
+    is best, and bisection counts each."""
+    genuine, impostor = sorted(genuine), sorted(impostor)
+    n_genuine = len(genuine)
+    best = max(
+        n_genuine - bisect_left(genuine, v) + bisect_left(impostor, v)
+        for v in set(genuine)
+    )
+    return max(best, len(impostor)) / (n_genuine + len(impostor))
 
 
 class FairnessReport(namedtuple("FairnessReport", "per_group average std ser flags")):

@@ -11,15 +11,14 @@ first-appearance order.
 Every fast sampler only chooses who goes next: the greedy one from each
 group's members sorted once by own-group score, the baselines from their
 removal lists. One loop, ``_run``, records the events and keeps the
-diagonal: each group's own-score total is an exact sum, held as the
-non-overlapping partials of Shewchuk's algorithm (the one behind
-``math.fsum``). A removal adds the negated score, and the entry is read back
-with ``fsum`` over those few partials. They always add up exactly to the
-survivors' scores, so each entry is the correctly rounded double that
-``fsum`` over the survivors gives, at a cost per step that does not grow
-with the group. Both samplers therefore see bitwise-identical diagonals and
-make identical choices; ``sample_naive`` rebuilds every table each iteration
-and is the literal-transcription oracle that certifies the fast path.
+diagonal: each group's own-score total is held exactly, as an integer count
+of 2**-1074, of which every finite double is a whole number. A removal
+subtracts the score's count, and the entry is the count divided by 2**1074,
+which CPython rounds correctly: the same double that ``fsum`` over the
+survivors gives, at a cost per step that does not grow with the group. Both
+samplers therefore see bitwise-identical diagonals and make identical
+choices; ``sample_naive`` rebuilds every table each iteration and is the
+literal-transcription oracle that certifies the fast path.
 """
 
 import copyreg
@@ -104,50 +103,39 @@ def _pick_target(diag, counts, group_mean):
 # What fsum returns for a multiset of negative zeros: 0.0 or -0.0, depending
 # on the interpreter.
 _FSUM_NEG_ZEROS = math.fsum((-0.0,))
+# 1.0 in units of 2**-1074
+_ONE = 2**1074
 
 
 class _ExactSum:
     """Exact running sum of a multiset of finite non-negative floats.
 
-    ``partials`` are nonzero, non-overlapping and add up exactly to the
-    multiset, so ``value()`` is the same correctly rounded double as
-    ``math.fsum`` over it. Zeros only count by sign, which decides the sign
-    of an all-zero sum. Adding or removing one value costs O(len(partials)),
-    a handful of floats.
+    ``units`` is the sum as a whole number of 2**-1074, the unit every
+    finite double is a multiple of. ``value()`` divides it by 2**1074,
+    which CPython rounds correctly, so it is the same double as
+    ``math.fsum`` over the multiset. Zeros only count by sign, which
+    decides the sign of an all-zero sum.
     """
 
-    __slots__ = ("partials", "zeros")
+    __slots__ = ("units", "zeros")
 
     def __init__(self):
-        self.partials = []
+        self.units = 0
         self.zeros = [0, 0]  # how many +0.0 and -0.0 are in the multiset
 
-    def add(self, x):
-        if not x:
-            self.zeros[math.copysign(1.0, x) < 0] += 1
-            return
-        partials = self.partials
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x] if x else []
+    def add(self, x, sign=1):
+        if x:
+            n, d = x.as_integer_ratio()  # d is 2**k, k <= 1074
+            self.units += (sign * n) << (1075 - d.bit_length())
+        else:
+            self.zeros[math.copysign(1.0, x) < 0] += sign
 
     def remove(self, x):
-        if x:
-            self.add(-x)
-        else:
-            self.zeros[math.copysign(1.0, x) < 0] -= 1
+        self.add(x, -1)
 
     def value(self):
-        if self.partials:
-            return math.fsum(self.partials)
+        if self.units:
+            return self.units / _ONE
         return _FSUM_NEG_ZEROS if self.zeros[1] and not self.zeros[0] else 0.0
 
 

@@ -637,7 +637,8 @@ class TestTraceFiles:
 
 
 # Own-score-like values: finite and non-negative, with both zeros, the
-# subnormal range and magnitudes far enough apart to need several partials.
+# subnormal range and magnitudes far apart, whose exact total needs far
+# more bits than any one double holds.
 own_like = st.one_of(
     st.floats(0.0, 1.0),
     st.floats(0.0, 1e6),
@@ -666,3 +667,101 @@ class TestExactSum:
             elif survivors:
                 acc.remove(survivors.pop(arg % len(survivors)))
             assert acc.value().hex() == math.fsum(survivors).hex()
+
+
+def zeros_and_subnormals():
+    """Own scores at the edges of the exact sums. Group ``z``'s are all
+    ``-0.0``; group ``m`` mixes ``0.0``, ``-0.0``, ``5e-324`` and ``1.0``
+    (an identity of two ``5e-324`` images sums to ``1e-323`` under B and
+    C); group ``s`` holds only subnormals, and group ``r`` plain values.
+    Scores are (m, z, r, s)."""
+    return build_manifest(
+        ("m", "z", "r", "s"),
+        [
+            ("m0", "pos", 0, (0.0, 0.5, 0.5, 0.0)),
+            ("m1", "neg", 0, (-0.0, 1.0, 0.0, 0.0)),
+            ("m2", "tiny", 0, (5e-324, 0.5, 0.5, 0.0)),
+            ("m3", "tiny", 0, (5e-324, 1.0, 0.0, 0.0)),
+            ("m4", "one", 0, (1.0, 0.0, 0.0, -0.0)),
+            ("m5", "half", 0, (1.0, -0.0, 0.0, 0.0)),
+            ("m6", "half", 0, (-0.0, 0.0, 1.0, 0.0)),
+            ("z0", "z-a", 1, (0.5, -0.0, 0.5, 0.0)),
+            ("z1", "z-b", 1, (1.0, -0.0, 0.0, 0.0)),
+            ("z2", "z-b", 1, (0.0, -0.0, 1.0, 0.0)),
+            ("z3", "z-c", 1, (5e-324, -0.0, 1.0, 0.0)),
+            ("z4", "z-d", 1, (0.0, -0.0, 0.0, 1.0)),
+            ("r0", "r-a", 2, (0.2, 0.2, 0.6, 0.0)),
+            ("r1", "r-b", 2, (0.4, 0.3, 0.3, 0.0)),
+            ("r2", "r-c", 2, (0.05, 0.05, 0.9, 0.0)),
+            ("s0", "s-a", 3, (0.5, 0.0, 0.5, 5e-324)),
+            ("s1", "s-b", 3, (0.0, 0.5, 0.5, 2.5e-310)),
+            ("s2", "s-b", 3, (1.0, 0.0, 0.0, 5e-324)),
+        ],
+    )
+
+
+def hex_diag(diag):
+    return [x.hex() for x in diag]
+
+
+class TestZerosAndSubnormals:
+    """Signed zeros and subnormal own scores through the whole sampler, not
+    only through ``_ExactSum``: every float is compared by its bits."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("z", [1, 3, 5, 10])
+    def test_greedy_matches_naive(self, protocol, z):
+        m = zeros_and_subnormals()
+        outcomes = []
+        for sampler in (sample_protocol, sample_naive):
+            try:
+                subset, trace = sampler(m, protocol, z)
+            except SamplingError as exc:
+                subset, trace = None, exc.partial_trace
+            outcomes.append((subset, trace))
+        (fast, fast_trace), (slow, slow_trace) = outcomes
+        assert hex_diag(fast_trace.initial_diag) == hex_diag(slow_trace.initial_diag)
+        assert hex_events(fast_trace) == hex_events(slow_trace)
+        assert fast == slow
+
+    def test_zero_group_is_drained_under_group_means(self):
+        # z's entry is 0.0, the lowest, until a step would empty z; on an
+        # interpreter whose fsum keeps a lone -0.0, its total is all
+        # negative zeros
+        m = zeros_and_subnormals()
+        with pytest.raises(SamplingError, match="step 4: .* group 'z'") as caught:
+            sample_protocol(m, Protocol.A, 5)
+        trace = caught.value.partial_trace
+        assert trace.removed_ids() == ["z-a", "z-b", "z-c"]
+        assert {e.diag_after[1].hex() for e in trace.events} == {
+            math.fsum((-0.0,)).hex()
+        }
+
+    def test_sum_protocol_reaches_subnormal_totals(self):
+        # protocol C drains m, r and s in turn, so totals pass through
+        # 2 + 1e-323 and end as subnormals and zeros
+        m = zeros_and_subnormals()
+        z = m.identity_count - 1
+        _, trace = sample_protocol(m, Protocol.C, z)
+        entries = [x for e in trace.events for x in e.diag_after]
+        assert any(0.0 < x < sys.float_info.min for x in entries)
+        assert hex_events(trace) == hex_events(sample_naive(m, Protocol.C, z)[1])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_tracks_exact_diagonal(self, seed):
+        m = zeros_and_subnormals()
+        subset, trace = sample_random(m, 4, seed)
+        assert hex_diag(trace.events[-1].diag_after) == hex_diag(
+            compute_es(subset, "A").diag()
+        )
+
+    @pytest.mark.parametrize("strategy", ["min", "max", "rand"])
+    @pytest.mark.parametrize("group", ["m", "z"])
+    @pytest.mark.parametrize("keep_fraction", [0.2, 0.5])
+    def test_single_group_tracks_exact_diagonal(self, strategy, group, keep_fraction):
+        m = zeros_and_subnormals()
+        subset, trace = sample_single_group(m, group, strategy, keep_fraction, seed=3)
+        assert trace.events
+        assert hex_diag(trace.events[-1].diag_after) == hex_diag(
+            compute_es(subset, "A").diag()
+        )
