@@ -70,6 +70,15 @@ def _emit(payload, out=None):
         print(text)
 
 
+def _path_arg(value):
+    """A file path flag or argument: any text but the empty string, which
+    names no file; that is a usage error, not a request for stdout or for
+    the flag's default."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return value
+
+
 def _groups_arg(value):
     try:
         return GroupSet(tuple(label for label in value.split(",") if label))
@@ -353,7 +362,7 @@ def build_parser():
         return p
 
     def manifest_arg(p):
-        p.add_argument("manifest", help="manifest CSV path")
+        p.add_argument("manifest", type=_path_arg, help="manifest CSV path")
         p.add_argument(
             "--groups",
             type=_groups_arg,
@@ -371,22 +380,24 @@ def build_parser():
 
     p = command("summarize", _cmd_summarize, "per-group score distribution summary")
     manifest_arg(p)
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    p.add_argument(
+        "--out", type=_path_arg, help="write the JSON report here instead of stdout"
+    )
 
     p = command("ids", _cmd_ids, "export per-identity score vectors")
     manifest_arg(p)
     p.add_argument("--protocol", required=True, choices=["A", "B", "C"])
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path_arg, required=True)
 
     p = command("es", _cmd_es, "export the group-by-group score matrix")
     manifest_arg(p)
     p.add_argument("--protocol", required=True, choices=["A", "B", "C"])
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", help="output path (required for csv)")
+    p.add_argument("--out", type=_path_arg, help="output path (required for csv)")
 
     p = command("relabel", _cmd_relabel, "reassign identities to their argmax group")
     manifest_arg(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path_arg, required=True)
 
     p = command("sample", _cmd_sample, "greedy or random identity removal")
     manifest_arg(p)
@@ -409,9 +420,11 @@ def build_parser():
         action="store_true",
         help="use the slow reference implementation",
     )
-    p.add_argument("--log", help="write the removal log CSV here")
-    p.add_argument("--evolution", help="write the diagonal evolution CSV here")
-    p.add_argument("--out", required=True, help="subset manifest path")
+    p.add_argument("--log", type=_path_arg, help="write the removal log CSV here")
+    p.add_argument(
+        "--evolution", type=_path_arg, help="write the diagonal evolution CSV here"
+    )
+    p.add_argument("--out", type=_path_arg, required=True, help="subset manifest path")
 
     p = command("single", _cmd_single, "shrink one group by score or at random")
     manifest_arg(p)
@@ -419,12 +432,12 @@ def build_parser():
     p.add_argument("--strategy", required=True, choices=["min", "max", "rand"])
     p.add_argument("--keep-fraction", required=True, type=float)
     p.add_argument("--seed", type=_seed_arg, help="seed (rand strategy only)")
-    p.add_argument("--log", help="write the removal log CSV here")
-    p.add_argument("--out", required=True, help="subset manifest path")
+    p.add_argument("--log", type=_path_arg, help="write the removal log CSV here")
+    p.add_argument("--out", type=_path_arg, required=True, help="subset manifest path")
 
     p = command("metrics", _cmd_metrics, "fairness report from pairs or accuracies")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--pairs", help="verification pairs CSV")
+    source.add_argument("--pairs", type=_path_arg, help="verification pairs CSV")
     source.add_argument(
         "--accuracies", type=_numbers(float, "float"),
         help="comma-separated per-group accuracies",
@@ -439,20 +452,26 @@ def build_parser():
         type=_groups_arg,
         help="labels for --accuracies values",
     )
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    p.add_argument(
+        "--out", type=_path_arg, help="write the JSON report here instead of stdout"
+    )
 
     p = command("pareto", _cmd_pareto, "non-dominated runs on the error/bias plane")
-    p.add_argument("--runs", required=True, help="runs CSV")
+    p.add_argument("--runs", type=_path_arg, required=True, help="runs CSV")
     p.add_argument("--bias", required=True, choices=["std", "ser"])
-    p.add_argument("--out", help="write the flagged runs CSV here")
+    p.add_argument("--out", type=_path_arg, help="write the flagged runs CSV here")
 
     p = command("scatter", _cmd_scatter, "own-group scores against external scores")
     manifest_arg(p)
-    p.add_argument("--external", required=True, help="image_id,score CSV")
-    p.add_argument("--out", required=True, help="scatter CSV path")
+    p.add_argument(
+        "--external", type=_path_arg, required=True, help="image_id,score CSV"
+    )
+    p.add_argument("--out", type=_path_arg, required=True, help="scatter CSV path")
 
     p = command("synth", _cmd_synth, "generate a synthetic manifest")
-    p.add_argument("--config", help="JSON config file (overrides the flags)")
+    p.add_argument(
+        "--config", type=_path_arg, help="JSON config file (overrides the flags)"
+    )
     p.add_argument("--seed", type=_seed_arg)
     p.add_argument(
         "--groups", type=_groups_arg, default=DEFAULT_GROUPS,
@@ -466,13 +485,15 @@ def build_parser():
     )
     p.add_argument("--concentration", type=_numbers(float, "float"), default="4")
     p.add_argument("--label-noise", type=float, default=0.0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path_arg, required=True)
 
     p = command(
         "equilibrium", _cmd_equilibrium,
         "first step whose diagonal spread is below epsilon",
     )
-    p.add_argument("--trace", required=True, help="removal log or evolution CSV")
+    p.add_argument(
+        "--trace", type=_path_arg, required=True, help="removal log or evolution CSV"
+    )
     p.add_argument("--epsilon", required=True, type=float)
 
     return parser

@@ -13,8 +13,8 @@ from bisect import bisect_left
 from codecs import BOM_UTF8
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from itertools import chain, compress, groupby
-from operator import attrgetter
+from itertools import chain, compress, count, groupby, islice, repeat
+from operator import attrgetter, ne, sub
 
 from ._util import field_limit, read_csv, write_csv
 from .errors import MetricsError
@@ -166,14 +166,19 @@ def _best_threshold_accuracy(genuine, impostor):
     at or above v and the impostor pairs below it; one above every value
     gets every impostor right. Any other threshold can rise to the next
     genuine value, or past the top, losing no genuine pair, so one of these
-    is best, and bisection counts each."""
+    is best, and bisection counts each. In the sorted genuine list the
+    first of a run of equal values sits at its own ``bisect_left``, so only
+    the impostors are bisected."""
     genuine, impostor = sorted(genuine), sorted(impostor)
     n_genuine = len(genuine)
-    best = max(
-        n_genuine - bisect_left(genuine, v) + bisect_left(impostor, v)
-        for v in set(genuine)
+    first = [True, *map(ne, islice(genuine, 1, None), genuine)]
+    # impostors below v minus genuine pairs below v, at each distinct v
+    gains = map(
+        sub,
+        map(bisect_left, repeat(impostor), compress(genuine, first)),
+        compress(count(), first),
     )
-    return max(best, len(impostor)) / (n_genuine + len(impostor))
+    return max(n_genuine + max(gains), len(impostor)) / (n_genuine + len(impostor))
 
 
 class FairnessReport(namedtuple("FairnessReport", "per_group average std ser flags")):

@@ -26,13 +26,22 @@ peak among the other groups; one bounded integer for the image count in
 [min, max]; then per image the draws listed above. The identity keeps its
 assigned group label either way; only the score peak moves, which is what
 lets relabeling detect the mislabelled fraction later.
+
+The manifest is built as columns, not image records: the draws of a chunk
+of rows (``manifest._CHUNK_ROWS``) are taken in the order above, the scores
+of those rows are computed one operation at a time over all of them, and
+the chunk goes through the loader's bulk row check, ``_Columns.extend``.
+Each score is the same expression on the same draws, so the draw order and
+the output bytes are those of one record at a time.
 """
 
 import math
 from collections import namedtuple
+from itertools import chain, repeat, starmap
+from operator import add, mul, neg, sub, truediv
 
-from .errors import SynthError
-from .manifest import GroupSet, ImageRecord, Manifest
+from .errors import ManifestError, SynthError
+from .manifest import _CHUNK_ROWS, GroupSet, _Columns
 from .rng import SEEDS, SplitMix64
 
 
@@ -140,43 +149,82 @@ def generate(config):
     """Build a manifest from the config; a pure function of its fields."""
     if all(c == 0 for c in config.identities_per_group):
         raise SynthError("all groups empty; nothing to generate")
-    return Manifest.from_images(config.groups, _images(config))
+    columns = _Columns(config.groups)
+    for chunk in _chunks(config):
+        problems = columns.extend(*chunk)
+        if problems:
+            offset, problem = problems[0]
+            raise ManifestError(f"{chunk[0][offset]!r}: {problem}")
+    return columns.manifest()
 
 
-def _images(config):
-    """The manifest's image records, generated one at a time in draw order,
-    so no list of records is ever held."""
+def _chunks(config):
+    """The manifest's rows in draw order, up to ``_CHUNK_ROWS`` rows of one
+    group at a time, as the columns ``_Columns.extend`` takes: image ids,
+    identity ids, group labels and the score cells, row after row. An
+    identity's rows may span two chunks."""
     d = config.groups.d
     rng = SplitMix64(config.seed)
+    next_float, next_below = rng.next_float, rng.next_below
     lo, hi = config.images_per_identity
+    suffixes = [f"_{m:03d}" for m in range(hi)]
     for g, label in enumerate(config.groups.labels):
         kappa = config.concentration[g]
         w = kappa / (kappa + 1.0)
         lam = 2.0 * w * (1.0 - w)
         inv_kappa = 1.0 / kappa
+        # the rows drawn and not yet cut into a chunk, with their peaks and
+        # their d draws each
+        image_ids, identity_ids, peaks, draws = [], [], [], []
+
+        def cut(k):
+            chunk = (
+                image_ids[:k],
+                identity_ids[:k],
+                [label] * k,
+                _cells(draws[:k * d], peaks[:k], d, inv_kappa, lam),
+            )
+            del image_ids[:k], identity_ids[:k], peaks[:k], draws[:k * d]
+            return chunk
+
         for i in range(config.identities_per_group[g]):
             identity_id = f"{label}_{i:04d}"
             peak = g
-            noise_draw = rng.next_float()
-            if noise_draw < config.label_noise:
-                other = rng.next_below(d - 1)
+            if next_float() < config.label_noise:
+                other = next_below(d - 1)
                 peak = other if other < g else other + 1
-            count = lo + rng.next_below(hi - lo + 1)
-            for m in range(count):
-                yield ImageRecord(
-                    image_id=f"{identity_id}_{m:03d}",
-                    identity_id=identity_id,
-                    group=g,
-                    scores=_score_vector(rng, d, peak, inv_kappa, lam),
-                )
+            count = lo + next_below(hi - lo + 1)
+            image_ids += map(identity_id.__add__, suffixes[:count])
+            identity_ids += [identity_id] * count
+            peaks += [peak] * count
+            draws += starmap(next_float, repeat((), d * count))
+            while len(image_ids) >= _CHUNK_ROWS:
+                yield cut(_CHUNK_ROWS)
+        if image_ids:
+            yield cut(len(image_ids))
 
 
-def _score_vector(rng, d, peak, inv_kappa, lam):
-    own = 1.0 / d + (1.0 - 1.0 / d) * rng.next_float() ** inv_kappa
-    exps = [-math.log(rng.next_float()) for _ in range(d - 1)]
-    total = math.fsum(exps)
-    rest = 1.0 - own
+def _cells(draws, peaks, d, inv_kappa, lam):
+    """The score cells, row after row, of the rows whose draws are
+    ``draws``, ``d`` per row in draw order, and whose peaks are ``peaks``:
+    the construction in the module docstring, one pass per operation.
+    Leaves only the exponential draws in ``draws``."""
+    u = draws[0::d]
+    del draws[0::d]
+    # 1/d + (1 - 1/d) * u**(1/k)
+    powers = map(pow, u, repeat(inv_kappa))
+    own = list(map(add, repeat(1.0 / d), map(mul, repeat(1.0 - 1.0 / d), powers)))
+    exps = list(map(neg, map(math.log, draws)))
+    totals = list(map(math.fsum, zip(*[iter(exps)] * (d - 1))))
+    rests = list(map(sub, repeat(1.0), own))
     base = (1.0 - lam) / (d - 1)
-    scores = [rest * (base + lam * e / total) for e in exps]
-    scores.insert(peak, own)
-    return tuple(scores)
+    # off cell i of each row: rest * (base + lam * e_i / total)
+    jitters = list(map(mul, repeat(lam), exps))
+    offs = [
+        map(mul, rests, map(add, repeat(base), map(truediv, jitters[i::d - 1], totals)))
+        for i in range(d - 1)
+    ]
+    rows = list(map(list, zip(*offs)))
+    for row, peak, value in zip(rows, peaks, own):
+        row.insert(peak, value)
+    return list(chain.from_iterable(rows))

@@ -11,7 +11,8 @@ import re
 import statistics
 from collections import defaultdict
 
-from fairbalance import IdentityRecord, ImageRecord, ManifestError, Protocol
+from fairbalance import IdentityRecord, ImageRecord, Manifest, ManifestError, Protocol
+from fairbalance.rng import SplitMix64
 
 
 def ids_oracle(manifest, protocol):
@@ -253,6 +254,51 @@ def load_manifest_oracle(path, groups, permissive=False):
     for rec in identities.values():
         counts[rec.group] += 1
     return images, identities, tuple(counts), len(problems)
+
+
+def generate_oracle(config):
+    """``synth.generate`` one image record at a time: the records in draw
+    order through ``Manifest.from_images``, whose first bad record raises."""
+    return Manifest.from_images(config.groups, synth_images_oracle(config))
+
+
+def synth_images_oracle(config):
+    """The manifest's image records, generated one at a time in draw order,
+    so no list of records is ever held."""
+    d = config.groups.d
+    rng = SplitMix64(config.seed)
+    lo, hi = config.images_per_identity
+    for g, label in enumerate(config.groups.labels):
+        kappa = config.concentration[g]
+        w = kappa / (kappa + 1.0)
+        lam = 2.0 * w * (1.0 - w)
+        inv_kappa = 1.0 / kappa
+        for i in range(config.identities_per_group[g]):
+            identity_id = f"{label}_{i:04d}"
+            peak = g
+            noise_draw = rng.next_float()
+            if noise_draw < config.label_noise:
+                other = rng.next_below(d - 1)
+                peak = other if other < g else other + 1
+            count = lo + rng.next_below(hi - lo + 1)
+            for m in range(count):
+                yield ImageRecord(
+                    image_id=f"{identity_id}_{m:03d}",
+                    identity_id=identity_id,
+                    group=g,
+                    scores=_score_vector(rng, d, peak, inv_kappa, lam),
+                )
+
+
+def _score_vector(rng, d, peak, inv_kappa, lam):
+    own = 1.0 / d + (1.0 - 1.0 / d) * rng.next_float() ** inv_kappa
+    exps = [-math.log(rng.next_float()) for _ in range(d - 1)]
+    total = math.fsum(exps)
+    rest = 1.0 - own
+    base = (1.0 - lam) / (d - 1)
+    scores = [rest * (base + lam * e / total) for e in exps]
+    scores.insert(peak, own)
+    return tuple(scores)
 
 
 def write_manifest_oracle(groups, images, path):

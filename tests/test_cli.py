@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 bad data or files, 2 usage errors raised
 by argparse, 3 internal failures.
 """
 
+import argparse
 import errno
 import hashlib
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from fairbalance.cli import main
+from fairbalance.cli import _path_arg, build_parser, main
 from fairbalance.manifest import GroupSet, Manifest, load_manifest, write_manifest
 from fairbalance.scoring import relabel
 from fairbalance.synth import SynthConfig, generate
@@ -712,6 +713,69 @@ class TestOutputPaths:
         assert code == 1
         assert err == f"error: cannot write {target}: {os.strerror(errno_)}\n"
         assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
+
+
+# a valid command line per command, naming every path it takes; the files
+# need not exist, since a usage error stops the command before any is read
+PATH_COMMANDS = [
+    ["validate", "m.csv"],
+    ["summarize", "m.csv", "--out", "o.json"],
+    ["ids", "m.csv", "--protocol", "A", "--out", "o.csv"],
+    ["es", "m.csv", "--protocol", "A", "--out", "o.csv"],
+    ["relabel", "m.csv", "--out", "o.csv"],
+    ["sample", "m.csv", "--protocol", "A", "--remove", "1", "--log", "l.csv",
+     "--evolution", "e.csv", "--out", "o.csv"],
+    ["single", "m.csv", "--group", "g1", "--strategy", "min",
+     "--keep-fraction", "0.5", "--log", "l.csv", "--out", "o.csv"],
+    ["metrics", "--pairs", "p.csv", "--mode", "outcomes", "--out", "o.json"],
+    ["pareto", "--runs", "r.csv", "--bias", "std", "--out", "o.csv"],
+    ["scatter", "m.csv", "--external", "x.csv", "--out", "o.csv"],
+    ["synth", "--config", "c.json", "--out", "o.csv"],
+    ["equilibrium", "--trace", "t.csv", "--epsilon", "0.1"],
+]
+
+
+def empty_path_cases():
+    """Each command line above with one of its paths made empty."""
+    for argv in PATH_COMMANDS:
+        for k, arg in enumerate(argv[1:], 1):
+            if "." in arg and not arg[0].isdigit():
+                flag = argv[k - 1] if argv[k - 1].startswith("--") else "manifest"
+                yield pytest.param(
+                    [*argv[:k], "", *argv[k + 1:]], id=f"{argv[0]} {flag}"
+                )
+
+
+class TestEmptyPaths:
+    """An empty path names no file: for every path argument of every
+    command it is a usage error (exit 2) that writes nothing, not a report
+    on stdout, a skipped output or a later data error."""
+
+    @pytest.mark.parametrize("argv", empty_path_cases())
+    def test_empty_path_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "expected a file path, got ''" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_path_argument_is_covered(self):
+        parser = build_parser()
+        (commands,) = [
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        declared = {
+            (name, action.option_strings[0] if action.option_strings else action.dest)
+            for name, command in commands.items()
+            for action in command._actions
+            if action.type is _path_arg
+        }
+        covered = {tuple(case.id.split(" ")) for case in empty_path_cases()}
+        assert covered == declared
 
 
 class TestOutputModes:

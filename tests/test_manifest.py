@@ -14,7 +14,7 @@ from itertools import accumulate
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairbalance import (
@@ -357,6 +357,117 @@ class TestColumnarLoad:
         n = len(manifest.images)
         assert (retained - base) / n < 160, f"{(retained - base) / n:.1f} B/image retained"
         assert (peak - base) / n < 300, f"{(peak - base) / n:.1f} B/image peak"
+
+
+# Faults the chunked parse must send down the per-row path; {n} is the
+# row's number and {i} its identity's. The first rows reject, one per
+# reason; "renormalize" rows are valid but off 1 by 4e-4, "duplicate" reuses
+# the previous row's image id, and "conflict" puts identity i in a second
+# group.
+REJECTS = (
+    *BAD_ROWS,
+    "img{n},id{i},African,nan,0.25,0.25,0.25",
+    "img{n},id{i},African,inf,0.25,0.25,0.25",
+    "img{n},id{i},African,1.0005,0.0,0.0,0.0",
+    "img{n},id{i},African,-0.0005,0.5,0.5,0.0005",
+    "img{n},id{i},{group},0.25,0.25,0.25,0.25,0.0",
+)
+STRUCTURAL = ("renormalize", "duplicate", "conflict")
+
+
+def chunked_rows(identities, faults):
+    """Per row, for the identity numbers ``identities`` and the faults by
+    row number ``faults``: its line and, unless it is rejected, its record
+    with the scores as written."""
+    rows = []
+    weights = (0.125, 0.375, 0.0625, 0.4375)
+    for n, i in enumerate(identities):
+        fault = faults.get(n)
+        group = (i + (fault == "conflict")) % 4
+        label = DEFAULT_GROUPS.labels[group]
+        if fault in REJECTS:
+            rows.append((fault.format(n=n, i=i, group=label), None))
+            continue
+        image_id = f"img{max(n - 1, 0)}" if fault == "duplicate" else f"img{n}"
+        scale = 1 - 4e-4 if fault == "renormalize" else 1.0
+        scores = tuple(w * scale for w in weights[i % 4:] + weights[:i % 4])
+        line = f"{image_id},id{i},{label}," + ",".join(map(repr, scores))
+        rows.append((line, ImageRecord(image_id, f"id{i}", group, scores)))
+    return rows
+
+
+@st.composite
+def chunked_csv(draw):
+    """A chunk size of 1 to 5 records and the rows of a manifest with one
+    to three faults, each on one side of a chunk boundary."""
+    chunk = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4 * chunk + 2))
+    edges = sorted({p for j in range(n // chunk + 1) for p in (j * chunk - 1, j * chunk)})
+    faults = draw(
+        st.dictionaries(
+            st.sampled_from([p for p in edges if 0 <= p < n]),
+            st.one_of(st.sampled_from(REJECTS), st.sampled_from(STRUCTURAL)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    identities = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return chunk, chunked_rows(identities, faults)
+
+
+class TestChunkedParse:
+    """The CSV parse checks records a chunk at a time and sends any chunk
+    that is not clean through the per-row check. With the chunk size
+    patched small and faults next to chunk boundaries, the cold load equals
+    the row-record loader in ``_oracles``, and ``Manifest.from_images`` over
+    the rows it keeps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=chunked_csv(), permissive=st.booleans())
+    # each structural fault inside a chunk and across a boundary
+    @example(case=(3, chunked_rows([0, 1, 2, 3], {2: "duplicate"})), permissive=False)
+    @example(case=(2, chunked_rows([0, 1, 2], {2: "duplicate"})), permissive=False)
+    @example(case=(3, chunked_rows([0, 0, 1], {1: "conflict"})), permissive=False)
+    @example(case=(2, chunked_rows([0, 1, 0], {2: "conflict"})), permissive=False)
+    @example(case=(2, chunked_rows([0, 1, 2, 3], {1: "renormalize", 2: "renormalize"})),
+             permissive=False)
+    def test_matches_oracle_across_chunk_boundaries(self, tmp_path_factory, case, permissive):
+        chunk, rows = case
+        path = write_text(
+            tmp_path_factory.mktemp("chunked") / "m.csv",
+            "\n".join([HEADER4, *(line for line, _ in rows)]) + "\n",
+        )
+        try:
+            expected = load_manifest_oracle(path, DEFAULT_GROUPS, permissive)
+        except ManifestError as exc:
+            expected = str(exc)
+        with mock.patch.object(manifest_module, "_CHUNK_ROWS", chunk):
+            try:
+                loaded = load_manifest(path, permissive=permissive)
+            except ManifestError as exc:
+                loaded = str(exc)
+        if isinstance(expected, str):
+            assert loaded == expected
+        else:
+            images, identities, group_counts, rejected = expected
+            assert row_bits(loaded.images) == row_bits(images)
+            assert dict(loaded.identities.items()) == identities
+            assert loaded.group_counts == group_counts
+            assert loaded.rejected_rows == rejected
+
+        kept = [record for _, record in rows if record is not None]
+        if not kept or (len(kept) < len(rows) and not permissive):
+            return
+        try:
+            built = Manifest.from_images(DEFAULT_GROUPS, kept, len(rows) - len(kept))
+        except ManifestError as exc:
+            built = str(exc)
+        if isinstance(built, str):
+            assert loaded == built
+        else:
+            assert loaded == built
+            assert row_bits(loaded.images) == row_bits(built.images)
+            assert loaded.rejected_rows == built.rejected_rows
 
 
 def sidecar_of(path):

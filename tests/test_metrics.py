@@ -135,6 +135,25 @@ class TestGroupAccuracy:
         got = _best_threshold_accuracy(genuine, impostor)
         assert got.hex() == threshold_sweep_oracle(genuine, impostor).hex()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_precision_gaussians_match_sweep(self, seed):
+        # mostly distinct genuine values, as model similarities are
+        rng = random.Random(seed)
+        genuine = [rng.gauss(0.6, 0.2) for _ in range(rng.randint(1, 3000))]
+        impostor = [rng.gauss(0.4, 0.2) for _ in range(rng.randint(1, 3000))]
+        got = _best_threshold_accuracy(genuine, impostor)
+        assert got.hex() == threshold_sweep_oracle(genuine, impostor).hex()
+
+    @settings(max_examples=300, deadline=None)
+    # no midpoint lies between adjacent subnormals, so only the sweep oracle
+    # applies
+    @given(*[st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), min_size=1)] * 2)
+    @example([-0.0, 0.0, -0.0], [0.0])
+    @example([0.0, 5e-324], [-0.0, -0.0, 5e-324])
+    def test_signed_zero_ties_match_sweep(self, genuine, impostor):
+        got = _best_threshold_accuracy(genuine, impostor)
+        assert got.hex() == threshold_sweep_oracle(genuine, impostor).hex()
+
     def test_error_names_first_group_in_appearance_order(self):
         pairs = [
             PairRecord("x", similarity=0.5, is_genuine=True),

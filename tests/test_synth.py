@@ -6,12 +6,17 @@ change to the state transition cannot pass.
 """
 
 import math
+import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairbalance.errors import SynthError
+from _oracles import generate_oracle
+from fairbalance import synth
+from fairbalance.cli import main as cli_main
+from fairbalance.errors import ManifestError, SynthError
 from fairbalance.manifest import GroupSet, load_manifest, write_manifest
 from fairbalance.rng import SplitMix64
 from fairbalance.scoring import Protocol, compute_es, relabel
@@ -394,3 +399,130 @@ class TestGenerate:
             assert len(img.scores) == d
             assert all(0.0 <= s <= 1.0 for s in img.scores)
             assert math.fsum(img.scores) == pytest.approx(1.0, abs=1e-9)
+
+
+def columns(manifest):
+    """Every column of a manifest, the scores by their bytes."""
+    return (
+        manifest.groups,
+        manifest._image_ids,
+        manifest._identity_ids,
+        list(manifest._row_identity),
+        list(manifest._identity_groups),
+        manifest._scores.tobytes(),
+    )
+
+
+@st.composite
+def synth_configs(draw):
+    """Configs over 2 to 6 groups, some of them empty, with extreme
+    concentrations and label noise up to 0.99."""
+    d = draw(st.integers(2, 6))
+    counts = draw(st.lists(st.integers(0, 5), min_size=d, max_size=d))
+    if not any(counts):
+        counts[draw(st.integers(0, d - 1))] = 1
+    lo = draw(st.integers(1, 3))
+    return SynthConfig(
+        seed=draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))),
+        groups=GroupSet(tuple(f"g{i}" for i in range(d))),
+        identities_per_group=tuple(counts),
+        images_per_identity=(lo, lo + draw(st.integers(0, 3))),
+        concentration=tuple(
+            draw(
+                st.lists(
+                    st.sampled_from((1e-320, 1e-6, 0.5, 4.0, 1e6, 1e308)),
+                    min_size=d,
+                    max_size=d,
+                )
+            )
+        ),
+        label_noise=draw(st.sampled_from((0.0, 0.3, 0.99))),
+    )
+
+
+class TestGenerateOracle:
+    """``generate`` builds columns a chunk at a time; the per-record
+    generator in ``_oracles`` is its oracle: the same columns, bytes and
+    errors."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        config=synth_configs(),
+        chunk=st.one_of(st.integers(1, 5), st.just(synth._CHUNK_ROWS)),
+    )
+    @example(
+        config=SynthConfig(0, GroupSet(("a", "b")), (3, 0), (1, 4), (1e-320, 1.0), 0.99),
+        chunk=2,
+    )
+    @example(
+        config=SynthConfig(2**64 - 1, GroupSet(("a", "b", "c")), (0, 4, 2), (2, 5), (1e308,), 0.5),
+        chunk=3,
+    )
+    def test_equals_per_record_generator(self, tmp_path_factory, config, chunk):
+        with mock.patch.object(synth, "_CHUNK_ROWS", chunk):
+            got = generate(config)
+        expected = generate_oracle(config)
+        assert columns(got) == columns(expected)
+        directory = tmp_path_factory.mktemp("synth")
+        write_manifest(got, directory / "got.csv")
+        write_manifest(expected, directory / "expected.csv")
+        assert (directory / "got.csv").read_bytes() == (
+            directory / "expected.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, synth._CHUNK_ROWS])
+    def test_control_character_label_fails_as_the_oracle(self, chunk):
+        config = SynthConfig(5, GroupSet(("a\x01", "b")), (2, 1), (1, 3), (4.0,))
+        message = "'a\\x01_0000_000': control character in image_id or identity_id"
+        with pytest.raises(ManifestError) as expected:
+            generate_oracle(config)
+        assert str(expected.value) == message
+        with mock.patch.object(synth, "_CHUNK_ROWS", chunk):
+            with pytest.raises(ManifestError) as got:
+                generate(config)
+        assert str(got.value) == message
+
+    def test_control_character_label_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        argv = ["synth", "--seed", "1", "--groups", "a\x01,b", "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: 'a\\x01_0000_000': control character in image_id or "
+            "identity_id\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.slow
+class TestGrowth:
+    """``generate`` and a cold load of what it writes grow about linearly:
+    at 4n identities each takes about 4 times as long as at n, and a
+    quadratic step would read about 16."""
+
+    @staticmethod
+    def best_of_3(work):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            work()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    def test_generate_and_cold_load_grow_linearly(self, tmp_path):
+        timings = {}
+        for identities in (2000, 8000):
+            cfg = config(identities_per_group=(identities // 4,), images_per_identity=(1, 4))
+            path = tmp_path / f"m{identities}.csv"
+            write_manifest(generate(cfg), path)
+            sidecar = path.with_name(f".{path.name}.fbcache")
+
+            def cold_load():
+                sidecar.unlink(missing_ok=True)
+                load_manifest(path)
+
+            timings[identities] = (
+                self.best_of_3(lambda: generate(cfg)),
+                self.best_of_3(cold_load),
+            )
+        for stage, small, large in zip(("generate", "load"), *timings.values()):
+            assert large / small < 8, f"{stage}: {large:.3f} s against {small:.3f} s"
