@@ -306,6 +306,8 @@ def _cmd_scatter(args):
             if not math.isfinite(score):
                 raise DataError(f"{args.external}: line {lineno}: non-finite score")
             external[row[0]] = score
+    if not external:
+        raise DataError(f"{args.external}: no scores")
     result = score_scatter(manifest, external)
     write_scatter_csv(result, args.out)
     _emit({"per_group": result.correlations, "skipped": result.skipped})
@@ -338,6 +340,8 @@ def _cmd_synth(args):
 
 def _cmd_equilibrium(args):
     _labels, series = read_diag_series(args.trace)
+    if not series:
+        raise DataError(f"{args.trace}: no removal steps")
     step = equilibrium_step(series, args.epsilon)
     _emit({"step": step})
     return 0

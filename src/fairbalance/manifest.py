@@ -14,7 +14,7 @@ from array import array
 from collections import Counter, namedtuple
 from collections.abc import Mapping, Sequence
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
-from operator import add, eq, ge, le, or_, sub, truediv
+from operator import add, eq, ge, le, ne, or_, sub, truediv
 
 from ._util import read_csv, warn
 from .errors import InternalInvariantError, ManifestError
@@ -253,6 +253,26 @@ class Manifest:
             source=None if self._source is None else self._source.kept(row_keep),
         )
 
+    def _regrouped(self, identity_groups):
+        """This manifest with identity j in group ``identity_groups[j]``, an
+        ``array('I')``, sharing the row columns. The rows of the identities
+        whose group changed are marked in the source that ``write_manifest``
+        copies the others from."""
+        source = self._source
+        if source is not None:
+            moved = bytes(map(ne, self._identity_groups, identity_groups))
+            if any(moved):
+                source = source.moved(bytes(map(moved.__getitem__, self._row_identity)))
+        return Manifest._of_columns(
+            self.groups,
+            self._image_ids,
+            self._row_identity,
+            self._scores,
+            self._identity_ids,
+            identity_groups,
+            source=source,
+        )
+
     def identities_of_group(self, group_index):
         """Identity records assigned to a group, in first-appearance order."""
         return [
@@ -389,7 +409,8 @@ class _IdentityView(Mapping):
 
 class _Columns:
     """The columns of a manifest under construction, checked one row at a
-    time by :meth:`add` or a chunk of rows at a time by :meth:`extend`.
+    time by :meth:`add` or a clean chunk of rows at a time by
+    :meth:`extend`.
     Identities are numbered in first-appearance order; the first duplicated
     image id and the first row that puts an identity in a second group are
     kept and reported by :meth:`manifest`."""
@@ -457,25 +478,25 @@ class _Columns:
         return None
 
     def extend(self, image_ids, identity_ids, group_labels, cells):
-        """Check a chunk of rows and add them, as :meth:`add` would one at a
-        time: per row an image id, an identity id and a group label, and
-        ``d`` score cells, row after row, in ``cells``; at least one row.
-        Returns the problems of the rows not added, as ``(offset in the
-        chunk, problem)`` pairs.
+        """Add a chunk of rows, all or none: per row an image id, an
+        identity id and a group label, and ``d`` score cells, row after row,
+        in ``cells``; at least one row. True once a clean chunk is added
+        as :meth:`add` would add its rows one at a time, in passes over
+        whole columns; False, with nothing changed, for any other chunk,
+        which the caller then sends through :meth:`add` row by row, so the
+        problems, the first duplicate and the conflict are the per-row
+        check's.
 
-        A clean chunk is checked and added in passes over whole columns.
         Clean means non-empty ids with no control character, known groups,
         scores in [0, 1] with every row's sum within ``SUM_TOLERANCE`` of
-        1, no image id seen before and no identity in a second group. Any
-        other chunk goes through :meth:`add` row by row, so the problems,
-        the first duplicate and the conflict are the per-row check's."""
+        1, no image id seen before and no identity in a second group."""
         d = self.groups.d
         try:
             # arrays fill faster from lists than from iterators
             scores = list(map(float, cells))
             groups = list(map(self.label_index.__getitem__, group_labels))
         except (KeyError, TypeError, ValueError):
-            return self._add_rows(image_ids, identity_ids, group_labels, cells)
+            return False
         chunk_ids = set(image_ids)
         ids = "".join(chain(image_ids, identity_ids))
         # one group per identity within the chunk: the last one seen
@@ -498,13 +519,13 @@ class _Columns:
             and all(map(eq, map(group_of.__getitem__, identity_ids), groups))
             and all(map(eq, map(group_of.__getitem__, known), earlier_groups))
         ):
-            return self._add_rows(image_ids, identity_ids, group_labels, cells)
+            return False
         totals = list(map(math.fsum, zip(*[iter(scores)] * d)))
         deviations = list(map(abs, map(sub, totals, repeat(1.0))))
         # the scores are in [0, 1], so no deviation is a nan
         worst = max(deviations)
         if worst > SUM_TOLERANCE:
-            return self._add_rows(image_ids, identity_ids, group_labels, cells)
+            return False
         if worst > _RENORM_SKIP:
             # dividing by 1.0 is exact, so one pass rescales just the rows
             # that need it
@@ -523,17 +544,7 @@ class _Columns:
         self.image_ids += image_ids
         self.row_identity.extend(map(self.index.__getitem__, identity_ids))
         self.scores.fromlist(scores)
-        return []
-
-    def _add_rows(self, image_ids, identity_ids, group_labels, cells):
-        """:meth:`extend` one row at a time through :meth:`add`."""
-        d = self.groups.d
-        problems = []
-        for offset, row in enumerate(zip(image_ids, identity_ids, group_labels)):
-            problem = self.add(*row, cells[offset * d:offset * d + d])
-            if problem is not None:
-                problems.append((offset, problem))
-        return problems
+        return True
 
     def manifest(self, rejected_rows=0):
         """The manifest over the rows added; a duplicated image id, then an
@@ -557,8 +568,6 @@ _FIXED_COLUMNS = ("image_id", "identity_id", "group")
 # rows per bulk check, in the CSV parse and in synth. A chunk's records are
 # two tracked objects each, so 256 of them stay under the garbage
 # collector's first threshold (700) and set off no collection while held.
-# Small chunks also keep synth's peak on a 1.15M-image manifest at the
-# per-record generator's (4,096-row chunks read about 9 MB more).
 _CHUNK_ROWS = 256
 
 
@@ -580,7 +589,7 @@ def load_manifest(path, groups=None, permissive=False):
 
     The rows are checked, renormalized and added to the manifest's columns
     in the one pass that parses them, ``_CHUNK_ROWS`` records at a time:
-    ``_Columns.extend`` adds a clean chunk in bulk and sends any other
+    ``_Columns.extend`` adds a clean chunk in bulk, and any other goes
     through ``_Columns.add``, the row check ``Manifest.from_images`` uses,
     one row at a time, so every message, line number and count is the
     per-row check's.
@@ -600,7 +609,7 @@ def _parse(path, groups, permissive):
         columns = _Columns(groups)
         problems = []
         for chunk in iter(lambda: list(islice(records, _CHUNK_ROWS)), []):
-            linenos, rows = zip(*chunk)
+            rows = [row for _, row in chunk]
             if set(map(len, rows)) == {width}:
                 fields = list(chain.from_iterable(rows))
                 fixed = fields[0::width], fields[1::width], fields[2::width]
@@ -608,22 +617,16 @@ def _parse(path, groups, permissive):
                 # score cells, row after row
                 for row_width in range(width, width - 3, -1):
                     del fields[0::row_width]
-                found = columns.extend(*fixed, fields)
-            else:
-                found = [
-                    (
-                        offset,
-                        columns.add(row[0], row[1], row[2], row[3:])
-                        if len(row) == width
-                        else f"expected {width} fields, got {len(row)}",
-                    )
-                    for offset, row in enumerate(rows)
-                ]
-            problems += (
-                f"line {linenos[offset]}: {problem}"
-                for offset, problem in found
-                if problem is not None
-            )
+                if columns.extend(*fixed, fields):
+                    continue
+            for lineno, row in chunk:
+                problem = (
+                    columns.add(row[0], row[1], row[2], row[3:])
+                    if len(row) == width
+                    else f"expected {width} fields, got {len(row)}"
+                )
+                if problem is not None:
+                    problems.append(f"line {lineno}: {problem}")
 
     if problems:
         if not permissive:

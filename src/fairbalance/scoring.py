@@ -17,11 +17,10 @@ from array import array
 from collections import namedtuple
 from enum import Enum
 from itertools import compress
-from operator import gt, itemgetter, ne
+from operator import gt, itemgetter
 
 from ._util import warn, write_csv
 from .errors import ScoringError
-from .manifest import Manifest
 
 
 class Protocol(Enum):
@@ -121,9 +120,7 @@ def relabel(manifest):
     the lowest group index. Labels feed only the group assignment, never the
     scores, so applying this twice changes nothing. Moving whole identities
     between groups cannot break a row invariant, so the rows are not
-    validated again, and the result shares the row columns. The rows of the
-    identities that moved are marked in the source that ``write_manifest``
-    copies the others from.
+    validated again, and the result shares the row columns.
     """
     best, *others = manifest._score_columns(mean=True)
     groups = array("I", [0]) * len(best)
@@ -133,20 +130,7 @@ def relabel(manifest):
         for j in compress(range(len(best)), map(gt, column, best)):
             best[j] = column[j]
             groups[j] = c
-    source = manifest._source
-    if source is not None:
-        moved = bytes(map(ne, manifest._identity_groups, groups))
-        if any(moved):
-            source = source.moved(bytes(map(moved.__getitem__, manifest._row_identity)))
-    return Manifest._of_columns(
-        manifest.groups,
-        manifest._image_ids,
-        manifest._row_identity,
-        manifest._scores,
-        manifest._identity_ids,
-        groups,
-        source=source,
-    )
+    return manifest._regrouped(groups)
 
 
 class ScatterResult(namedtuple("ScatterResult", "rows correlations skipped")):

@@ -119,6 +119,46 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "inputs, argv, message",
+        [
+            (
+                ["synth", "--seed", "1", "--identities-per-group", "1,1,1,4",
+                 "--images-per-identity", "1"],
+                ["sample", "{input}", "--protocol", "random", "--remove", "6",
+                 "--seed", "1", "--out", "{out}"],
+                "not enough groups can afford an extra removal (need 2, have 1)",
+            ),
+            (
+                ["synth", "--seed", "1", "--groups", "a,b",
+                 "--identities-per-group", "0,3"],
+                ["single", "{input}", "--group", "a", "--strategy", "min",
+                 "--keep-fraction", "0.5", "--out", "{out}"],
+                "group 'a' has no identities",
+            ),
+            (
+                "run_id,strategy,size,acc_a,acc_b\n"
+                "r1,A,50%,1.0,0.9\nr2,B,50%,0.8,1.0\n",
+                ["pareto", "--runs", "{input}", "--bias", "ser", "--out", "{out}"],
+                "every run was skipped (infinite ser); nothing to rank",
+            ),
+        ],
+        ids=["random-budget", "empty-group", "perfect-groups"],
+    )
+    def test_dead_end_in_the_data_is_one(self, capsys, tmp_path, inputs, argv, message):
+        """A well-formed input that the command cannot act on: the input is
+        made by ``synth`` or is the text given."""
+        path, out = tmp_path / "input.csv", tmp_path / "out.csv"
+        if isinstance(inputs, str):
+            path.write_text(inputs, encoding="utf-8")
+        else:
+            assert run(capsys, *inputs, "--out", str(path))[0] == 0
+        names = {"input": path, "out": out}
+        code, _, err = run(capsys, *[a.format(**names) for a in argv])
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_usage_error_is_two(self, capsys, plain_manifest, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(

@@ -129,6 +129,8 @@ def mutate(text, mutation, at, token):
         names = header.split(",")
         names[at % len(names)] = token
         return ",".join(names) + newline + rest
+    if mutation == "header_only":
+        return text.partition("\n")[0] + "\n"
     if mutation in ("extra_field", "drop_field"):
         lines = text.split("\n")
         at %= len(lines)
@@ -174,9 +176,11 @@ def test_mutated_input_exits_zero_or_one(valid_inputs, kind, steps):
 
 
 # (mutation, at, token) for each break of the header and field-count rule
-# every input CSV shares; the record faults change line 2, the first record
+# every input CSV shares, and for a file with a header and no record; the
+# record faults change line 2, the first record
 FAULTS = {
     "empty_file": ("empty", 0, ""),
+    "header_only": ("header_only", 0, ""),
     "duplicate_column": ("duplicate_header", 0, ""),
     "wrong_first_column": ("rename_column", 0, "x"),
     "unexpected_column": ("rename_column", -1, "x"),

@@ -346,6 +346,8 @@ class TestColumnarLoad:
         )
         path = tmp_path / "m.csv"
         write_manifest(generate(config), str(path))
+        # without its sidecar, the load parses the CSV
+        sidecar_of(path).unlink()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -413,6 +415,76 @@ def chunked_csv(draw):
     )
     identities = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     return chunk, chunked_rows(identities, faults)
+
+
+def builder_state(columns):
+    """Every column of a ``_Columns`` and what it has seen, by value."""
+    return (
+        list(columns.image_ids),
+        columns.row_identity.tobytes(),
+        columns.scores.tobytes(),
+        list(columns.identity_ids),
+        columns.identity_groups.tobytes(),
+        dict(columns.index),
+        set(columns.seen),
+        columns.duplicate,
+        columns.conflict,
+    )
+
+
+class TestExtend:
+    """``_Columns.extend`` adds a clean chunk whole and refuses any other
+    without changing the builder."""
+
+    EARLIER = ("img0", "id0", "African", (0.25,) * 4)
+
+    @pytest.mark.parametrize(
+        "fault, rows",
+        [
+            ("empty id", [("img1", "", "African")]),
+            ("control character", [("img\x01", "id1", "African")]),
+            ("unknown group", [("img1", "id1", "Martian")]),
+            ("non-numeric score", [("img1", "id1", "African", ("x", 0.25, 0.25, 0.25))]),
+            ("nan score", [("img1", "id1", "African", ("nan", 0.25, 0.25, 0.25))]),
+            ("score above 1", [("img1", "id1", "African", (1.5, -0.5, 0.0, 0.0))]),
+            ("bad sum", [("img1", "id1", "African", (0.125,) * 4)]),
+            ("duplicate in chunk", [("img1", "id1", "African"), ("img1", "id2", "Asian")]),
+            ("duplicate of earlier", [("img0", "id1", "African")]),
+            ("conflict in chunk", [("img1", "id1", "African"), ("img2", "id1", "Asian")]),
+            ("conflict with earlier", [("img1", "id0", "Asian")]),
+        ],
+    )
+    def test_refused_chunk_changes_nothing(self, fault, rows):
+        columns = manifest_module._Columns(DEFAULT_GROUPS)
+        assert columns.add(*self.EARLIER) is None
+        # a clean row first, so the fault is not the chunk's only row
+        rows = [("img9", "id9", "Indian"), *rows]
+        rows = [row if len(row) == 4 else (*row, (0.25,) * 4) for row in rows]
+        image_ids, identity_ids, labels, cells = zip(*rows)
+        before = builder_state(columns)
+        assert not columns.extend(
+            list(image_ids), list(identity_ids), list(labels),
+            [str(c) for row in cells for c in row],
+        ), fault
+        assert builder_state(columns) == before
+
+    def test_clean_chunk_is_added_as_by_add(self):
+        rows = [
+            ("img1", "id1", "African", ("0.5", "0.5", "0", "0")),
+            ("img2", "id0", "African", ("0.2502", "0.25", "0.25", "0.25")),
+            ("img3", "id2", "Asian", ("0.1", "0.2", "0.3", "0.4")),
+        ]
+        bulk, single = (manifest_module._Columns(DEFAULT_GROUPS) for _ in range(2))
+        for columns in (bulk, single):
+            assert columns.add(*self.EARLIER) is None
+        image_ids, identity_ids, labels, cells = zip(*rows)
+        assert bulk.extend(
+            list(image_ids), list(identity_ids), list(labels),
+            [c for row in cells for c in row],
+        )
+        for row in rows:
+            assert single.add(*row) is None
+        assert builder_state(bulk) == builder_state(single)
 
 
 class TestChunkedParse:
