@@ -12,8 +12,8 @@ Every fast sampler only chooses who goes next: the greedy one from each
 group's members sorted once by own-group score, the baselines from their
 removal lists. One loop, ``_run``, records the events and keeps the
 diagonal: each group's own-score total is held exactly, as an integer count
-of 2**-1074, of which every finite double is a whole number. A removal
-subtracts the score's count, and the entry is the count divided by 2**1074,
+of 2**-k, one scale for the run at which every own score is whole. A removal
+subtracts the score's count, and the entry is the count divided by 2**k,
 which CPython rounds correctly: the same double that ``fsum`` over the
 survivors gives, at a cost per step that does not grow with the group. Both
 samplers therefore see bitwise-identical diagonals and make identical
@@ -103,40 +103,6 @@ def _pick_target(diag, counts, group_mean):
 # What fsum returns for a multiset of negative zeros: 0.0 or -0.0, depending
 # on the interpreter.
 _FSUM_NEG_ZEROS = math.fsum((-0.0,))
-# 1.0 in units of 2**-1074
-_ONE = 2**1074
-
-
-class _ExactSum:
-    """Exact running sum of a multiset of finite non-negative floats.
-
-    ``units`` is the sum as a whole number of 2**-1074, the unit every
-    finite double is a multiple of. ``value()`` divides it by 2**1074,
-    which CPython rounds correctly, so it is the same double as
-    ``math.fsum`` over the multiset. Zeros only count by sign, which
-    decides the sign of an all-zero sum.
-    """
-
-    __slots__ = ("units", "zeros")
-
-    def __init__(self):
-        self.units = 0
-        self.zeros = [0, 0]  # how many +0.0 and -0.0 are in the multiset
-
-    def add(self, x, sign=1):
-        if x:
-            n, d = x.as_integer_ratio()  # d is 2**k, k <= 1074
-            self.units += (sign * n) << (1075 - d.bit_length())
-        else:
-            self.zeros[math.copysign(1.0, x) < 0] += sign
-
-    def remove(self, x):
-        self.add(x, -1)
-
-    def value(self):
-        if self.units:
-            return self.units / _ONE
-        return _FSUM_NEG_ZEROS if self.zeros[1] and not self.zeros[0] else 0.0
 
 
 def _members(manifest):
@@ -153,18 +119,32 @@ def _run(manifest, own, name, group_mean, picks, seed=None):
     the own-group scores by identity index. Per group it keeps the survivor
     count, the exact sum of their scores and the diagonal entry: the mean
     under group-mean protocols, else the sum, and 0.0 for an emptied group.
+    A sum counts units of 2**-k, 2**k the largest ``as_integer_ratio()``
+    denominator in ``own``, and a count of +0.0 survivors signs a zero sum.
     Returns ``(subset, trace)``; the subset is ``manifest`` itself when nothing
     was removed. A SamplingError from ``picks`` leaves with the partial trace."""
     ids, labels = manifest._identity_ids, manifest.groups.labels
     counts = list(manifest.group_counts)
-    sums = [_ExactSum() for _ in labels]
+    k = max(x.as_integer_ratio()[1] for x in own).bit_length() - 1
+
+    def units(x):
+        n, d = x.as_integer_ratio()
+        return n << (k + 1 - d.bit_length())
+
+    def positive_zero(x):
+        return not x and math.copysign(1.0, x) > 0
+
+    sums, positive_zeros = [0] * len(labels), [0] * len(labels)
     for g, value in zip(manifest._identity_groups, own):
-        sums[g].add(value)
+        sums[g] += units(value)
+        positive_zeros[g] += positive_zero(value)
 
     def entry(g):
         if not counts[g]:
             return 0.0
-        total = sums[g].value()
+        if not (sums[g] or positive_zeros[g]):
+            return _FSUM_NEG_ZEROS  # every survivor is -0.0
+        total = sums[g] / (1 << k)
         return total / counts[g] if group_mean else total
 
     diag = [entry(g) for g in range(len(labels))]
@@ -175,7 +155,8 @@ def _run(manifest, own, name, group_mean, picks, seed=None):
     try:
         for step, (g, j) in enumerate(picks(diag, counts), start=1):
             counts[g] -= 1
-            sums[g].remove(own[j])
+            sums[g] -= units(own[j])
+            positive_zeros[g] -= positive_zero(own[j])
             diag[g] = entry(g)
             before, after = after, tuple(diag)
             trace.events.append(
@@ -481,7 +462,10 @@ def read_diag_series(path):
                 step = int(row[0])
                 if step == 0:
                     continue
-                series.append((step, tuple(map(float, row[first:]))))
+                diag = tuple(map(float, row[first:]))
+                if not all(map(math.isfinite, diag)):
+                    raise ValueError("non-finite diagonal entry")
+                series.append((step, diag))
             except ValueError as exc:
                 raise SamplingError(f"{path}: line {lineno}: {exc}") from None
     return labels, series

@@ -23,7 +23,8 @@ from fairbalance import (
     write_evolution,
     write_removal_log,
 )
-from fairbalance.sampling import _ExactSum, _pick_target
+from fairbalance import sampling
+from fairbalance.sampling import _pick_target
 
 from _oracles import write_evolution_oracle, write_removal_log_oracle
 from conftest import build_manifest, tie_heavy_manifests
@@ -615,6 +616,10 @@ class TestTraceFiles:
             ("1.5,0.4,0.3", "invalid literal for int"),
             # the line a record starts on, not the one it ends on
             ('"1\n",0.4', "expected 3 fields, got 2"),
+            ("1,nan,0.5", "non-finite diagonal entry"),
+            ("1,0.5,nan", "non-finite diagonal entry"),
+            ("1,inf,0.5", "non-finite diagonal entry"),
+            ("1,0.5,-inf", "non-finite diagonal entry"),
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, row, problem):
@@ -622,6 +627,12 @@ class TestTraceFiles:
         path.write_text(f"step,diag_a,diag_b\n0,0.5,0.5\n{row}\n")
         with pytest.raises(SamplingError, match=f"evo.csv: line 3: {problem}"):
             read_diag_series(str(path))
+
+    def test_signed_zeros_and_subnormals_read_back(self, tmp_path):
+        path = tmp_path / "evo.csv"
+        path.write_text("step,diag_a,diag_b\n0,0.5,0.5\n1,-0.0,5e-324\n")
+        _, [(step, diag)] = read_diag_series(str(path))
+        assert (step, hex_diag(diag)) == (1, hex_diag((-0.0, 5e-324)))
 
     def test_rejects_unrelated_csv(self, tmp_path):
         path = tmp_path / "junk.csv"
@@ -646,27 +657,68 @@ own_like = st.one_of(
 )
 
 
-class TestExactSum:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.tuples(st.just("add"), own_like),
-                st.tuples(st.just("remove"), st.integers(0, 1000)),
-            ),
-            max_size=60,
-        )
+@st.composite
+def run_cases(draw):
+    """A group index per identity, each identity's own score, and a
+    shuffled order in which some of them are removed."""
+    d = draw(st.integers(2, 3))
+    groups = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=12))
+    n = len(groups)
+    own = draw(st.lists(own_like, min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return d, groups, own, order[: draw(st.integers(0, n))]
+
+
+def survivors_entry(survivors, group_mean, neg_zeros):
+    """A group's diagonal entry from its survivors: ``fsum`` of them, except
+    that a sum of negative zeros alone is ``neg_zeros``, divided by their
+    count under group means, and 0.0 once the group is empty."""
+    if not survivors:
+        return 0.0
+    if {x.hex() for x in survivors} == {(-0.0).hex()}:
+        total = neg_zeros
+    else:
+        total = math.fsum(survivors)
+    return total / len(survivors) if group_mean else total
+
+
+class TestRunDiagonal:
+    """``_run``'s exact group totals, bit for bit, against ``fsum`` over the
+    survivors after every event. The second run pretends that ``fsum`` keeps
+    a lone -0.0, as from Python 3.12 on, so the rule for all-zero totals is
+    checked on any interpreter."""
+
+    @pytest.mark.parametrize("group_mean", [True, False])
+    @pytest.mark.parametrize(
+        "neg_zeros", [sampling._FSUM_NEG_ZEROS, -0.0], ids=["fsum", "negative"]
     )
-    def test_value_is_fsum_of_survivors(self, ops):
-        acc = _ExactSum()
-        survivors = []
-        for op, arg in ops:
-            if op == "add":
-                acc.add(arg)
-                survivors.append(arg)
-            elif survivors:
-                acc.remove(survivors.pop(arg % len(survivors)))
-            assert acc.value().hex() == math.fsum(survivors).hex()
+    @settings(max_examples=300, deadline=None)
+    @given(case=run_cases())
+    def test_entries_are_fsum_of_survivors(self, group_mean, neg_zeros, case):
+        d, groups, own, order = case
+        m = build_manifest(
+            ("a", "b", "c")[:d],
+            [(f"i{j}", f"id{j}", g, (1.0,) + (0.0,) * (d - 1))
+             for j, g in enumerate(groups)],
+        )
+        picks = [(groups[j], j) for j in order]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_FSUM_NEG_ZEROS", neg_zeros)
+            _, trace = sampling._run(m, own, "run", group_mean, lambda *_: picks)
+        assert len(trace.events) == len(order)
+        alive = set(range(len(groups)))
+        diags = [trace.initial_diag] + [e.diag_after for e in trace.events]
+        for removed, diag in zip([None, *order], diags):
+            alive.discard(removed)
+            expected = [
+                survivors_entry(
+                    [own[j] for j in alive if groups[j] == g],
+                    group_mean,
+                    neg_zeros,
+                )
+                for g in range(d)
+            ]
+            assert hex_diag(diag) == hex_diag(expected)
 
 
 def zeros_and_subnormals():
