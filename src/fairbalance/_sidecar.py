@@ -22,9 +22,10 @@ the caller's ``groups``. Anything else, and any write that fails, is a
 miss: the load takes the CSV path, so a sidecar can never change a result
 or an exit code.
 
-A sidecar that ``write_manifest`` stored for a CSV of one line per row also
-says so (``lines``): line r + 1 of the CSV is the writer's formatting of row
-r. A manifest loaded from such a sidecar keeps the CSV as its source, and so
+Every sidecar that ``write_manifest`` stores says (``lines``) that line
+r + 1 of the CSV is the writer's formatting of row r: no id holds a line
+end, and a label with a control character gets no sidecar. A manifest
+loaded from such a sidecar keeps the CSV as its source, and so
 do its subsets and its relabelling, so writing one of them copies each row's
 line from the source and formats only the rows ``relabel`` moved. The copy
 reads the source a chunk at a time and takes its key over every byte read;
@@ -103,7 +104,7 @@ def write(manifest, path, header):
         key = tally.key()
     except OSError:  # the writer's own source cannot be read
         return
-    _store(path, key, manifest, tally.lines == len(manifest._image_ids) + 1)
+    _store(path, key, manifest, written=True)
 
 
 class _Stale(Exception):
@@ -111,18 +112,17 @@ class _Stale(Exception):
 
 
 class _Tally:
-    """The byte count, CRC-32, Adler-32 and line ends of the bytes added."""
+    """The byte count, CRC-32 and Adler-32 of the bytes added."""
 
-    __slots__ = ("size", "crc", "adler", "lines")
+    __slots__ = ("size", "crc", "adler")
 
     def __init__(self):
-        self.size, self.crc, self.adler, self.lines = 0, 0, 1, 0
+        self.size, self.crc, self.adler = 0, 0, 1
 
     def add(self, data):
         self.size += len(data)
         self.crc = zlib.crc32(data, self.crc)
         self.adler = zlib.adler32(data, self.adler)
-        self.lines += data.count(b"\n")
 
     def key(self):
         """The key of a file of the bytes added, as a JSON-ready list."""
@@ -193,7 +193,7 @@ def _copied(manifest, header):
                 r, start = end, stop
     except OSError:
         raise _Stale from None
-    if pending or r != n or seen.lines != source.count + 1 or seen.key() != source.key:
+    if pending or r != n or start != source.count or seen.key() != source.key:
         raise _Stale
 
 
@@ -210,17 +210,17 @@ def _round_trips(manifest):
     return max(map(len, cells)) + len("score_") <= field_limit()
 
 
-def _store(path, key, manifest, lines=None):
+def _store(path, key, manifest, written=False):
     """Write the sidecar of ``manifest`` under ``key`` beside ``path``,
-    unless no file can be written there. ``lines`` is None for the load of
-    ``path``, whose sidecar is dropped when ``path`` no longer has ``key``;
-    from ``write``, it says whether line r + 1 of ``path`` is row r."""
+    unless no file can be written there. For the load of ``path``, the
+    sidecar is dropped when ``path`` no longer has ``key``; one ``written``
+    by ``write`` says that line r + 1 of ``path`` is row r."""
     head = {
         "key": key,
         "labels": manifest.groups.labels,
         "images": len(manifest._image_ids),
         "identities": len(manifest._identity_ids),
-        "lines": bool(lines),
+        "lines": written,
     }
     try:
         with atomic_write(_sidecar_path(path), binary=True) as handle:
@@ -230,7 +230,7 @@ def _store(path, key, manifest, lines=None):
             # a CSV that changed while it was parsed gets no sidecar; taken
             # once the temp file exists, so a directory that cannot be
             # written costs one key pass, not two
-            if lines is None and _key(path) != key:
+            if not written and _key(path) != key:
                 raise OSError(f"{path} changed while it was loaded")
             data = json.dumps(head).encode() + b"\n"
             handle.write(data)

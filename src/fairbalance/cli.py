@@ -37,7 +37,6 @@ from .rng import SEEDS
 from .sampling import (
     equilibrium_step,
     read_diag_series,
-    sample_naive,
     sample_protocol,
     sample_random,
     sample_single_group,
@@ -198,21 +197,18 @@ def _distinct_outputs(args):
 
 def _cmd_sample(args):
     _distinct_outputs(args)
+    if args.protocol == "random" and args.seed is None:
+        raise _UsageError("--protocol random requires --seed")
+    if args.protocol != "random" and args.seed is not None:
+        raise _UsageError("--seed applies to --protocol random only")
     manifest = _load(args)
     if args.relabel_first:
         manifest = relabel(manifest)
     z = _sample_budget(args, manifest)
     if args.protocol == "random":
-        if args.naive:
-            raise _UsageError("--naive applies to protocols A, B and C only")
-        if args.seed is None:
-            raise _UsageError("--protocol random requires --seed")
         subset, trace = sample_random(manifest, z, args.seed)
     else:
-        if args.seed is not None:
-            raise _UsageError("--seed applies to --protocol random only")
-        sampler = sample_naive if args.naive else sample_protocol
-        subset, trace = sampler(manifest, Protocol(args.protocol), z)
+        subset, trace = sample_protocol(manifest, Protocol(args.protocol), z)
     return _write_subset(args, subset, trace)
 
 
@@ -418,11 +414,6 @@ def build_parser():
         "--relabel-first",
         action="store_true",
         help="relabel identities before sampling",
-    )
-    p.add_argument(
-        "--naive",
-        action="store_true",
-        help="use the slow reference implementation",
     )
     p.add_argument("--log", type=_path_arg, help="write the removal log CSV here")
     p.add_argument(

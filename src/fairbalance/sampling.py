@@ -441,8 +441,8 @@ def read_diag_series(path):
     with the same labels in the same order, and the after half is read. Any
     other must be ``step`` and then ``diag_<label>`` columns only.
 
-    Returns (group_labels, [(step, diag), ...]) with step 0 rows skipped, so
-    the result is directly usable with :func:`equilibrium_step`.
+    Returns (group_labels, [(step, diag), ...]) with step 0 rows checked and
+    skipped, so the result is directly usable with :func:`equilibrium_step`.
     """
     prefix = ("step", "identity_id", "group", "own_group_ids")
     with read_csv(path, SamplingError, (), "") as (header, records):
@@ -460,12 +460,11 @@ def read_diag_series(path):
         for lineno, row in records:
             try:
                 step = int(row[0])
-                if step == 0:
-                    continue
                 diag = tuple(map(float, row[first:]))
                 if not all(map(math.isfinite, diag)):
                     raise ValueError("non-finite diagonal entry")
-                series.append((step, diag))
+                if step != 0:
+                    series.append((step, diag))
             except ValueError as exc:
                 raise SamplingError(f"{path}: line {lineno}: {exc}") from None
     return labels, series

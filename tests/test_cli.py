@@ -454,29 +454,27 @@ class TestSample:
             )
         assert first.read_bytes() == second.read_bytes()
 
-    def test_naive_rejected_for_random(self, capsys, plain_manifest, tmp_path):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--protocol", "random"], "--protocol random requires --seed"),
+            (["--protocol", "A", "--seed", "3"],
+             "--seed applies to --protocol random only"),
+        ],
+        ids=["random-without-seed", "seed-without-random"],
+    )
+    def test_seed_usage_error_before_the_manifest_is_read(
+        self, capsys, tmp_path, flags, message
+    ):
         with pytest.raises(SystemExit) as exc:
             main(
                 [
-                    "sample", str(plain_manifest), "--protocol", "random",
-                    "--remove", "4", "--seed", "7", "--naive",
-                    "--out", str(tmp_path / "x.csv"),
+                    "sample", str(tmp_path / "missing.csv"), *flags,
+                    "--remove", "1", "--out", str(tmp_path / "x.csv"),
                 ]
             )
         assert exc.value.code == 2
-
-    def test_naive_matches_fast(self, capsys, plain_manifest, tmp_path):
-        fast = tmp_path / "fast.csv"
-        slow = tmp_path / "slow.csv"
-        run_json(
-            capsys, "sample", str(plain_manifest), "--protocol", "B",
-            "--remove", "6", "--out", str(fast),
-        )
-        run_json(
-            capsys, "sample", str(plain_manifest), "--protocol", "B",
-            "--remove", "6", "--naive", "--out", str(slow),
-        )
-        assert fast.read_bytes() == slow.read_bytes()
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     def test_relabel_first_composes(self, capsys, noisy_manifest, tmp_path):
         combined = tmp_path / "combined.csv"

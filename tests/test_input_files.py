@@ -280,7 +280,7 @@ FLAG_COMMANDS = {
         st.one_of(flag("remove", small_ints), flag("target-size", small_ints),
                   flag("remove", odd_float)),
         maybe("seed", st.one_of(small_ints, odd_float)),
-        st.lists(st.sampled_from(("--relabel-first", "--naive")), max_size=2),
+        st.lists(st.just("--relabel-first"), max_size=1),
         maybe("log", st.just("{log_out}")),
         maybe("evolution", st.just("{evolution_out}")),
     ),

@@ -913,10 +913,10 @@ class TestRoundTrip:
             ("a", "b", "c"),
             [("i1", "x", 0, (0.5, 0.25, 0.25)), ("i2", "y", 2, (0.1, 0.2, 0.7))],
         )
-        p1, p2 = str(tmp_path / "1.csv"), str(tmp_path / "2.csv")
-        write_manifest(m, p1)
-        write_manifest(load_manifest(p1), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        p1, p2 = tmp_path / "1.csv", tmp_path / "2.csv"
+        write_manifest(m, str(p1))
+        write_manifest(load_manifest(str(p1)), str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_refuses_empty(self, tmp_path):
         m = build_manifest(("a", "b"), [("i1", "x", 0, (1.0, 0.0))])

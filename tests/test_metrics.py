@@ -37,7 +37,7 @@ from _oracles import (
     threshold_sweep_oracle,
 )
 
-FIXTURE = "tests/fixtures/reported_metrics.json"
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "reported_metrics.json"
 
 
 # similarities for one side of a group: a small pool makes ties across the
@@ -622,7 +622,7 @@ class TestBulkPairs:
 
 class TestReportedFixture:
     def test_every_row_reproduces(self):
-        data = json.load(open(FIXTURE))
+        data = json.loads(FIXTURE.read_text(encoding="utf-8"))
         assert len(data["rows"]) >= 50
         for row in data["rows"]:
             d = fairness_report(row["acc"]).to_dict()
@@ -631,7 +631,7 @@ class TestReportedFixture:
             assert d["ser"] == pytest.approx(row["ser"], abs=0.01 + 1e-9)
 
     def test_corrected_cell_is_documented(self):
-        data = json.load(open(FIXTURE))
+        data = json.loads(FIXTURE.read_text(encoding="utf-8"))
         noted = [r for r in data["rows"] if "printed_acc" in r]
         assert len(noted) == 1
         row = noted[0]

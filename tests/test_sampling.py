@@ -624,9 +624,12 @@ class TestTraceFiles:
     )
     def test_bad_row_names_file_and_line(self, tmp_path, row, problem):
         path = tmp_path / "evo.csv"
-        path.write_text(f"step,diag_a,diag_b\n0,0.5,0.5\n{row}\n")
-        with pytest.raises(SamplingError, match=f"evo.csv: line 3: {problem}"):
-            read_diag_series(str(path))
+        # after a good step-0 row, and as the step-0 row, which is checked too
+        at_step_0 = row.replace("1", "0", 1)
+        for rows, lineno in ((f"0,0.5,0.5\n{row}", 3), (at_step_0, 2)):
+            path.write_text(f"step,diag_a,diag_b\n{rows}\n")
+            with pytest.raises(SamplingError, match=f"evo.csv: line {lineno}: {problem}"):
+                read_diag_series(str(path))
 
     def test_signed_zeros_and_subnormals_read_back(self, tmp_path):
         path = tmp_path / "evo.csv"
@@ -758,7 +761,8 @@ def hex_diag(diag):
 
 class TestZerosAndSubnormals:
     """Signed zeros and subnormal own scores through the whole sampler, not
-    only through ``_ExactSum``: every float is compared by its bits."""
+    only through the exact integer group totals: every float is compared by
+    its bits."""
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("z", [1, 3, 5, 10])

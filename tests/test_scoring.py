@@ -338,7 +338,8 @@ class TestCsvExports:
         table = compute_ids(two_groups, Protocol.A)
         path = tmp_path / "ids.csv"
         write_ids_csv(two_groups, table, str(path))
-        rows = list(csv.reader(path.open()))
+        with path.open() as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["identity_id", "group", "ids_g1", "ids_g2"]
         assert len(rows) == 5
         assert rows[1][:2] == ["a", "g1"]
@@ -348,7 +349,8 @@ class TestCsvExports:
         es = compute_es(two_groups, Protocol.A)
         path = tmp_path / "es.csv"
         write_es_csv(es, str(path))
-        rows = list(csv.reader(path.open()))
+        with path.open() as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["group", "g1", "g2"]
         assert rows[1][0] == "g1"
         assert float(rows[1][1]) == 0.75
